@@ -150,8 +150,8 @@ def claim_c4(cfg: Config) -> ClaimReport:
 
 def claim_c5(cfg: Config) -> ClaimReport:
     t0 = time.perf_counter()
-    small = enumerate_solutions(6, 2, 10**6, cfg.segment_size)
-    large = enumerate_solutions(6, 2, 10**7, cfg.segment_size)
+    small = enumerate_solutions(6, 2, 10**6)
+    large = enumerate_solutions(6, 2, 10**7)
     ok = small.solutions == (4, 6, 7, 10) and large.solutions == (4, 6, 7, 10)
     evidence = f"10^6: {list(small.solutions)}; 10^7: {list(large.solutions)}"
     return _report("C5", ok, evidence, t0, "quick")
@@ -184,7 +184,7 @@ def claim_c6(cfg: Config, k_max: int = 2000) -> ClaimReport:
 
 def claim_c7(cfg: Config) -> ClaimReport:
     t0 = time.perf_counter()
-    table = solution_count_table(10**4, 2, 10**6, cfg.segment_size)
+    table = solution_count_table(10**4, 2, 10**6)
     ok = table.min_count == 4 and table.min_achievers == (6,)
     evidence = f"min count {table.min_count} at k in {list(table.min_achievers)}"
     return _report("C7", ok, evidence, t0, "full")
@@ -200,12 +200,7 @@ def claim_c8(cfg: Config) -> ClaimReport:
             a=fermat - 1, b=fermat, start=10**100, parity=Parity.EVEN_ONLY,
             limit=10**100 + 10**6,
         )
-        result = search_pair_r(
-            task,
-            presieve_bound=cfg.presieve_bound,
-            threads=cfg.thread_count,
-            cache_dir=cfg.cache_dir,
-        )
+        result = search_pair_r(task, cache_dir=cfg.cache_dir)
         offset = result.r - 10**100
         if result.r == expected:
             notes.append(f"m={m}: r = 10^100 + {offset}")

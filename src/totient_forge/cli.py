@@ -12,8 +12,8 @@ import json
 import sys
 
 from .arith import FactoringBoundExceeded, Factorization, factorize, totient
-from .claims import run_claims
-from .config import CACHE_ENV, Config, default_cache_dir
+from .claims import _LEVELS, run_claims
+from .config import CACHE_ENV, Config
 from .constructions import (
     ConstructionError,
     serialize_solution,
@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=f"Claim ids C1..C8 are frozen; cache directory via --cache-dir or ${CACHE_ENV}.",
     )
     parser.add_argument("--cache-dir", help="cache directory (overrides the environment)")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for searches")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_positive_decimal, help="give-up bound on r")
 
     p = sub.add_parser("verify-claims", help="run the claim verification suite")
-    p.add_argument("--level", choices=("quick", "full", "extreme"), default="quick")
+    p.add_argument("--level", choices=tuple(_LEVELS), default="quick")
     p.add_argument("--csv", help="also write the machine-readable report here")
 
     p = sub.add_parser("totient", help="Euler's totient of N")
@@ -125,7 +124,7 @@ def cmd_solve(args, cfg: Config) -> int:
     k_fact = _parse_factors(args.k_factors, args.k)
     solutions = solve(
         args.k, args.M, k_fact=k_fact, with_witness_search=args.with_witness_search,
-        cache_dir=cfg.cache_dir, threads=cfg.thread_count,
+        cache_dir=cfg.cache_dir,
     )
     _emit_solutions(solutions, args.format)
     if not all(verify_solution(s) for s in solutions):
@@ -134,7 +133,7 @@ def cmd_solve(args, cfg: Config) -> int:
 
 
 def cmd_enumerate(args, cfg: Config) -> int:
-    report = enumerate_solutions(args.k, args.M, args.max, cfg.segment_size)
+    report = enumerate_solutions(args.k, args.M, args.max)
     if args.format == "json":
         print(json.dumps({
             "k": str(report.k), "M": report.M, "limit": str(report.limit),
@@ -184,10 +183,7 @@ def cmd_search_r(args, cfg: Config) -> int:
         parity=Parity.EVEN_ONLY if args.even_only else Parity.ANY,
         avoid_divisors_of=args.avoid, limit=args.limit,
     )
-    result = search_pair_r(
-        task, presieve_bound=cfg.presieve_bound, threads=cfg.thread_count,
-        cache_dir=cfg.cache_dir,
-    )
+    result = search_pair_r(task, cache_dir=cfg.cache_dir)
     if args.format == "json":
         print(json.dumps({
             "r": str(result.r), "p1": str(result.p1), "p2": str(result.p2),
@@ -227,7 +223,7 @@ def cmd_verify_claims(args, cfg: Config) -> int:
 
 def cmd_totient(args, cfg: Config) -> int:
     hint = _parse_factors(args.k_factors, args.n)
-    value = totient(factorize(args.n, hint=hint, bound=cfg.factoring_bound))
+    value = totient(factorize(args.n, hint=hint))
     if args.format == "json":
         print(json.dumps({"n": str(args.n), "totient": str(value)}, sort_keys=True))
     else:
@@ -236,7 +232,7 @@ def cmd_totient(args, cfg: Config) -> int:
 
 
 def cmd_factor(args, cfg: Config) -> int:
-    f = factorize(args.n, bound=cfg.factoring_bound)
+    f = factorize(args.n)
     if args.format == "json":
         print(json.dumps({
             "n": str(args.n),
@@ -262,10 +258,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(
-            cache_dir=args.cache_dir if args.cache_dir else default_cache_dir(),
-            thread_count=max(1, args.threads),
-        )
+        cfg = Config(args.cache_dir) if args.cache_dir else Config()
         return _COMMANDS[args.command](args, cfg)
     except (ValueError, FactoringBoundExceeded, RangeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,6 @@
-"""Runtime configuration: cache location, bounds, worker counts.
+"""Runtime configuration: the cache location, and atomic writes into it.
 
-Precedence: explicit flags beat the environment, which beats defaults. Only
-the cache directory is environment-configurable.
+Precedence: an explicit flag beats the environment, which beats the default.
 """
 
 from __future__ import annotations
@@ -12,11 +11,6 @@ from pathlib import Path
 
 CACHE_ENV = "TOTIENT_FORGE_CACHE"
 
-DEFAULT_FACTORING_BOUND = 10**18
-DEFAULT_PRESIEVE_BOUND = 10**5
-DEFAULT_SEGMENT_SIZE = 1 << 22
-VERIFICATION_LEVELS = ("quick", "full", "extreme")
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get(CACHE_ENV)
@@ -25,18 +19,24 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "totient_forge"
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace `path` with `text` in one step, so readers never see a partial file.
+
+    The text goes to a temporary file in the same directory, which
+    os.replace then renames over the target; on failure it is removed.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 @dataclass
 class Config:
     cache_dir: Path = field(default_factory=default_cache_dir)
-    factoring_bound: int = DEFAULT_FACTORING_BOUND
-    presieve_bound: int = DEFAULT_PRESIEVE_BOUND
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-    thread_count: int = 1
-    verification_level: str = "quick"
 
     def __post_init__(self):
         self.cache_dir = Path(self.cache_dir)
-        if self.verification_level not in VERIFICATION_LEVELS:
-            raise ValueError(f"verification_level must be one of {VERIFICATION_LEVELS}")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be >= 1")

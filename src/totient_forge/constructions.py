@@ -4,6 +4,10 @@ Every constructor derives the factorizations of n and n+k symbolically from
 the factorization of k and the witness data, evaluates both totients exactly,
 and only then returns a Solution. Nothing is ever reported unverified.
 
+k's factorization is certified once, at the public entry point (solve,
+solve_even_m2 or a construct_* function); the private builders behind them
+take that certified factorization as given.
+
 Error vocabulary (part of the public contract):
   NotApplicable        the construction's hypothesis excludes this k
   MissingWitness       a required witness (r) was not supplied
@@ -192,6 +196,7 @@ def solution_to_dict(s: Solution) -> dict:
 
 
 def _k_fact(k: int, k_fact: Factorization | None) -> Factorization:
+    """k's factorization, deep-validated when supplied, else computed."""
     if k < 1:
         raise NotApplicable("k must be >= 1")
     return factorize(k, hint=k_fact)
@@ -215,7 +220,10 @@ def construct_makowski(k: int, M: int, k_fact: Factorization | None = None) -> S
     """n = k for even k; n = 2k for odd k coprime to 3."""
     if M != 2:
         raise NotApplicable("Makowski's construction solves the doubled equation only")
-    kf = _k_fact(k, k_fact)
+    return _makowski(k, _k_fact(k, k_fact))
+
+
+def _makowski(k: int, kf: Factorization) -> Solution:
     if k % 2 == 0:
         return _certify(k, 2, k, Method.MAKOWSKI, None, kf, kf.times_prime(2))
     if k % 3 == 0:
@@ -229,6 +237,10 @@ def construct_makowski(k: int, M: int, k_fact: Factorization | None = None) -> S
 
 
 def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solution:
+    if M == 1 and k % 2:
+        raise NotApplicable("this construction requires even k")
+    if M == 2 and k % 2 == 0:
+        raise NotApplicable("this construction requires odd k")
     if not 0 <= m <= 4:
         raise NotApplicable("only the five known Fermat primes (m = 0..4) apply")
     two_pow = 1 << m  # value is 2^(2^m) + 1
@@ -260,19 +272,13 @@ def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solutio
 def construct_fermat_m1(k: int, m: int, r: int | None = None,
                         k_fact: Factorization | None = None) -> Solution:
     """Solution of phi(n+k) = phi(n) for even k from the Fermat prime 2^(2^m)+1."""
-    kf = _k_fact(k, k_fact)
-    if k % 2:
-        raise NotApplicable("this construction requires even k")
-    return _fermat(k, m, r, 1, kf)
+    return _fermat(k, m, r, 1, _k_fact(k, k_fact))
 
 
 def construct_fermat_m2(k: int, m: int, r: int | None = None,
                         k_fact: Factorization | None = None) -> Solution:
     """Solution of phi(n+k) = 2*phi(n) for odd k from the Fermat prime 2^(2^m)+1."""
-    kf = _k_fact(k, k_fact)
-    if k % 2 == 0:
-        raise NotApplicable("this construction requires odd k")
-    return _fermat(k, m, r, 2, kf)
+    return _fermat(k, m, r, 2, _k_fact(k, k_fact))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +295,10 @@ def construct_seq_solution(k: int, seq: PrimeSequence, M: int,
     """
     if M != 2:
         raise NotApplicable("sequence constructions solve the doubled equation only")
-    kf = _k_fact(k, k_fact)
+    return _seq_solution(k, seq, _k_fact(k, k_fact))
+
+
+def _seq_solution(k: int, seq: PrimeSequence, kf: Factorization) -> Solution:
     if k % 2:
         raise NotApplicable("sequence constructions require even k")
     index, p = next(
@@ -325,10 +334,6 @@ _SOLVE_SEQ_BOUND = 10**4
 _HASANALIZADE_BOUND = 2 * 10**5
 
 
-def _seq(variant: SequenceVariant, bound: int, cache_dir) -> PrimeSequence:
-    return generate_sequence(variant, bound, cache_dir=cache_dir)
-
-
 def _ratio_solution(k: int, kf: Factorization, num: int, den: int) -> Solution:
     """Verified n = num*k/den; num+den must carry the cancelled prime pair."""
     if k % den:
@@ -349,13 +354,17 @@ def solve_even_m2(k: int, k_fact: Factorization | None = None,
     ratio branches verify before returning and fall back to the base sequence
     when their implicit hypotheses fail.
     """
-    kf = _k_fact(k, k_fact)
+    return _solve_even_m2(k, _k_fact(k, k_fact), cache_dir)
+
+
+def _solve_even_m2(k: int, kf: Factorization, cache_dir) -> list[Solution]:
     if k % 2:
         raise NotApplicable("even k required")
     solutions = []
 
     def base_sequence_solution() -> Solution:
-        return construct_seq_solution(k, _seq(SequenceVariant.NEW_BASE, _SOLVE_SEQ_BOUND, cache_dir), 2, kf)
+        seq = generate_sequence(SequenceVariant.NEW_BASE, _SOLVE_SEQ_BOUND, cache_dir)
+        return _seq_solution(k, seq, kf)
 
     if k % (2 * 3 * 5 * 11):
         solutions.append(base_sequence_solution())
@@ -381,7 +390,7 @@ def solve_even_m2(k: int, k_fact: Factorization | None = None,
         solutions.append(
             _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH13_23, cache_dir)
         )
-    solutions.append(construct_makowski(k, 2, kf))
+    solutions.append(_makowski(k, kf))
     return solutions
 
 
@@ -389,7 +398,7 @@ def _seq_solution_with_retry(k, kf, variant, cache_dir) -> Solution:
     bound = _SOLVE_SEQ_BOUND
     while True:
         try:
-            return construct_seq_solution(k, _seq(variant, bound, cache_dir), 2, kf)
+            return _seq_solution(k, generate_sequence(variant, bound, cache_dir), kf)
         except AllTermsDivideK:
             if bound >= 2 * 10**7:
                 raise
@@ -468,7 +477,10 @@ def construct_ghp_m2(k: int, j: int, r: int,
 def construct_prop_double_prime(k: int, p: int,
                                 k_fact: Factorization | None = None) -> Solution:
     """n = p*k/(p-1) when p and 2p-1 are prime, coprime to k, and (p-1) | k."""
-    kf = _k_fact(k, k_fact)
+    return _prop_double_prime(k, p, _k_fact(k, k_fact))
+
+
+def _prop_double_prime(k: int, p: int, kf: Factorization) -> Solution:
     if p < 2:
         raise InvalidWitness("p must be a prime >= 2")
     if not is_probable_prime(p).is_prime:
@@ -489,7 +501,10 @@ def construct_prop_double_prime(k: int, p: int,
 def construct_prop_phi_pair(k: int, m_param: int,
                             k_fact: Factorization | None = None) -> Solution:
     """n = (m+4)*k/m for even k when m | k, phi(m+2) = phi(m+4), both coprime to k."""
-    kf = _k_fact(k, k_fact)
+    return _prop_phi_pair(k, m_param, _k_fact(k, k_fact))
+
+
+def _prop_phi_pair(k: int, m_param: int, kf: Factorization) -> Solution:
     if k % 2:
         raise NotApplicable("even k required")
     if m_param < 1:
@@ -516,14 +531,19 @@ def construct_prop_phi_pair(k: int, m_param: int,
 def verify_solution(s: Solution, factoring_bound: int | None = None) -> bool:
     """Exactly evaluate totient(n+k) == M * totient(n).
 
-    Uses the certified factorizations carried by the solution when they match
-    its values, otherwise factors directly (CannotVerify above the bound).
+    Uses the factorizations carried by the solution when they match its values
+    and every listed factor re-tests prime, otherwise factors directly
+    (CannotVerify above the bound).
     """
     kwargs = {} if factoring_bound is None else {"bound": factoring_bound}
 
     def fact_of(value: int, carried: Factorization | None) -> Factorization:
         if carried is not None and carried.value == value:
-            return carried
+            try:
+                carried.validate(deep=True)
+                return carried
+            except ValueError:
+                pass  # a listed factor is not prime: factor the value afresh
         try:
             return factorize(value, **kwargs)
         except Exception as exc:
@@ -547,28 +567,19 @@ def _merge(solutions) -> list[Solution]:
     return [by_n[n] for n in sorted(by_n)]
 
 
-def _search_fermat_r(m: int, k: int, cache_dir, threads: int = 1) -> int:
+def _search_fermat_r(m: int, k: int, cache_dir) -> int:
     fermat = (1 << (1 << m)) + 1
     task = PairSearchTask(a=fermat - 1, b=fermat, start=1, parity=Parity.EVEN_ONLY,
                           avoid_divisors_of=k)
-    return search_pair_r(task, cache_dir=cache_dir, threads=threads).r
+    return search_pair_r(task, cache_dir=cache_dir).r
 
 
-def _scan_prop_double_prime(k: int, kf: Factorization) -> list[Solution]:
+def _scan_divisors(kf: Factorization, build) -> list[Solution]:
+    """Every solution build(d) yields over the divisors d of k (up to 10^6 for large k)."""
     found = []
     for d in iter_divisors(kf, limit=None if kf.value < 10**6 else 10**6):
         try:
-            found.append(construct_prop_double_prime(k, d + 1, kf))
-        except ConstructionError:
-            continue
-    return found
-
-
-def _scan_prop_phi_pair(k: int, kf: Factorization) -> list[Solution]:
-    found = []
-    for d in iter_divisors(kf, limit=None if kf.value < 10**6 else 10**6):
-        try:
-            found.append(construct_prop_phi_pair(k, d, kf))
+            found.append(build(d))
         except ConstructionError:
             continue
     return found
@@ -580,7 +591,6 @@ def solve(
     k_fact: Factorization | None = None,
     with_witness_search: bool = False,
     cache_dir: Path | str | None = None,
-    threads: int = 1,
 ) -> list[Solution]:
     """All solutions the applicable constructions produce for (k, M).
 
@@ -594,37 +604,37 @@ def solve(
     kf = _k_fact(k, k_fact)
     found: list[Solution] = []
 
-    def attempt(fn, *args, **kwargs):
+    def attempt(fn, *args):
         try:
-            found.append(fn(*args, **kwargs))
+            found.append(fn(*args))
         except ConstructionError as exc:
             log.debug("skipping %s for k=%s: %s", getattr(fn, "__name__", fn), k, exc)
         except LimitExhausted as exc:
             log.warning("witness search exhausted for k=%s: %s", k, exc)
 
-    def fermat_with_search(m: int, builder):
+    def fermat_with_search(m: int):
         fermat = (1 << (1 << m)) + 1
         r = None
         if gcd(fermat, k) != 1:
-            r = _search_fermat_r(m, k, cache_dir, threads)
-        return builder(k, m, r, kf)
+            r = _search_fermat_r(m, k, cache_dir)
+        return _fermat(k, m, r, M, kf)
 
     if M == 1 and k % 2 == 0:
         for m in range(5):
-            attempt(fermat_with_search, m, construct_fermat_m1)
+            attempt(fermat_with_search, m)
     elif M == 2 and k % 2 == 1:
         for m in range(5):
-            attempt(fermat_with_search, m, construct_fermat_m2)
-        attempt(construct_makowski, k, 2, kf)
+            attempt(fermat_with_search, m)
+        attempt(_makowski, k, kf)
     elif M == 2:
         try:
-            found.extend(solve_even_m2(k, kf, cache_dir))
+            found.extend(_solve_even_m2(k, kf, cache_dir))
         except ConstructionError as exc:
             log.warning("even-k dispatch failed for k=%s: %s", k, exc)
-        attempt(construct_seq_solution, k,
-                _seq(SequenceVariant.HASANALIZADE, _HASANALIZADE_BOUND, cache_dir), 2, kf)
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, _HASANALIZADE_BOUND, cache_dir)
+        attempt(_seq_solution, k, seq, kf)
     if with_witness_search and M == 2:
-        found.extend(_scan_prop_double_prime(k, kf))
+        found.extend(_scan_divisors(kf, lambda d: _prop_double_prime(k, d + 1, kf)))
         if k % 2 == 0:
-            found.extend(_scan_prop_phi_pair(k, kf))
+            found.extend(_scan_divisors(kf, lambda d: _prop_phi_pair(k, d, kf)))
     return _merge(found)

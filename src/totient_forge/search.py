@@ -1,23 +1,20 @@
 """Minimal-witness search for r such that a*r+1 and b*r+1 are both prime.
 
-Candidates are scanned in increasing order in fixed-width blocks, each block
-presieved against small primes before any probable-prime test runs. With
-several workers, blocks are still reduced lowest-first, so the returned r is
-identical to the sequential scan's.
+Candidates are scanned in increasing order in blocks that grow geometrically,
+each block presieved against small primes before any probable-prime test
+runs, so the first hit is the minimal r.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .config import default_cache_dir
+from .config import default_cache_dir, write_text_atomic
 from .primality import (
     PRESIEVE_BOUND,
     SEGMENT_CANDIDATES,
@@ -87,12 +84,11 @@ class PairSearchResult:
     candidates_tested: int
 
 
-def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int,
-                presieve_bound: int):
+def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
     """Test one presieved block; return (result_or_None, tested count)."""
     # sieving beyond sqrt(max candidate value) buys nothing
     top = task.b * (block_start + (count - 1) * step) + 1
-    bound = max(3, min(presieve_bound, math.isqrt(top) + 1))
+    bound = max(3, min(PRESIEVE_BOUND, math.isqrt(top) + 1))
     mask = presieve(task.a, task.b, block_start, count, step, bound)
     avoid = task.avoid_divisors_of
     tested = 0
@@ -117,9 +113,6 @@ def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int,
 
 def search_pair_r(
     task: PairSearchTask,
-    presieve_bound: int = PRESIEVE_BOUND,
-    segment: int = SEGMENT_CANDIDATES,
-    threads: int = 1,
     cache_dir: Path | str | None = None,
     use_cache: bool = True,
 ) -> PairSearchResult:
@@ -133,47 +126,22 @@ def search_pair_r(
     cacheable = use_cache and task.avoid_divisors_of is None
     cache_path = _cache_path(cache_dir, task) if cacheable else None
     if cache_path is not None:
-        cached = _load_cached(cache_path, task)
+        cached = _load_cached(cache_path, task, limit)
         if cached is not None:
             return cached
 
-    def blocks():
-        # blocks grow geometrically so tiny searches stay tiny
-        block_start, count = first, 1 << 12
-        while block_start < limit:
-            count = min(count, (limit - block_start + step - 1) // step)
-            yield block_start, count
-            block_start += count * step
-            count = min(count * 4, segment)
-
     result = None
     tested_total = 0
-    if threads <= 1:
-        for start, count in blocks():
-            hit, tested = _scan_block(task, start, count, step, presieve_bound)
-            tested_total += tested
-            if hit is not None:
-                result = hit
-                break
-    else:
-        # windows of `threads` blocks; the lowest block with a hit wins, so the
-        # reduction is deterministic regardless of completion order
-        block_iter = blocks()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while result is None:
-                window = list(itertools.islice(block_iter, threads))
-                if not window:
-                    break
-                futures = [
-                    pool.submit(_scan_block, task, start, count, step, presieve_bound)
-                    for start, count in window
-                ]
-                hits = [f.result() for f in futures]
-                tested_total += sum(t for _, t in hits)
-                for hit, _ in hits:
-                    if hit is not None:
-                        result = hit
-                        break
+    # blocks grow geometrically so tiny searches stay tiny
+    block_start, count = first, 1 << 12
+    while block_start < limit:
+        count = min(count, (limit - block_start + step - 1) // step)
+        result, tested = _scan_block(task, block_start, count, step)
+        tested_total += tested
+        if result is not None:
+            break
+        block_start += count * step
+        count = min(count * 4, SEGMENT_CANDIDATES)
 
     if result is None:
         raise LimitExhausted(f"no qualifying r in [{first}, {limit}) for a={task.a}, b={task.b}")
@@ -197,7 +165,6 @@ def _cache_path(cache_dir: Path | str | None, task: PairSearchTask) -> Path:
 
 
 def _store_cached(path: Path, task: PairSearchTask, result: PairSearchResult) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         str(task.a),
         str(task.b),
@@ -207,10 +174,11 @@ def _store_cached(path: Path, task: PairSearchTask, result: PairSearchResult) ->
         result.verdicts[0].verdict.value,
         result.verdicts[1].verdict.value,
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _load_cached(path: Path, task: PairSearchTask) -> PairSearchResult | None:
+def _load_cached(path: Path, task: PairSearchTask, limit: int) -> PairSearchResult | None:
+    """The cached witness, or None when absent, corrupt, or at or beyond `limit`."""
     if not path.exists():
         return None
     try:
@@ -218,6 +186,9 @@ def _load_cached(path: Path, task: PairSearchTask) -> PairSearchResult | None:
         a, b, start, parity, r = int(lines[0]), int(lines[1]), int(lines[2]), lines[3], int(lines[4])
         if (a, b, start, parity) != (task.a, task.b, task.start, task.parity.value):
             raise ValueError("key mismatch")
+        if r >= limit:
+            # the key omits the limit; the uncached scan would give up first
+            return None
         if r < task.start or (task.parity is Parity.EVEN_ONLY and r % 2):
             raise ValueError("cached r violates the task")
         v1 = is_probable_prime(a * r + 1)

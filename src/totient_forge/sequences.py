@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 
 from .arith import star_divides
-from .config import default_cache_dir
+from .config import default_cache_dir, write_text_atomic
 from .primality import is_probable_prime, iter_primes
 
 __all__ = [
@@ -188,7 +188,6 @@ def validate_sequence(seq: PrimeSequence) -> None:
 
 
 def _store(path: Path, seq: PrimeSequence) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {seq.variant.value} {seq.search_bound}"]
     for i, p in enumerate(seq.terms):
         if seq.variant.uses_aux:
@@ -196,7 +195,7 @@ def _store(path: Path, seq: PrimeSequence) -> None:
         else:
             lines.append(str(p))
     lines.append(f"# count={len(seq.terms)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _load_cached(path: Path, variant: SequenceVariant, bound: int) -> PrimeSequence | None:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SEGMENT_SIZE
 from .primality import primes_upto
 
 __all__ = [
@@ -27,6 +26,7 @@ __all__ = [
 ]
 
 MAX_SIEVE_VALUE = 1 << 40
+DEFAULT_SEGMENT_SIZE = 1 << 22
 _MAX_DENSE_VALUES = 1 << 27  # ~1 GiB of int64 cells for dense helpers
 
 
@@ -95,18 +95,17 @@ class EnumerationReport:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_solutions(k: int, M: int, limit: int,
-                        segment_size: int = DEFAULT_SEGMENT_SIZE) -> EnumerationReport:
+def enumerate_solutions(k: int, M: int, limit: int) -> EnumerationReport:
     """Every n <= limit with totient(n+k) = M*totient(n), exhaustively."""
     if k < 1 or M not in (1, 2) or limit < 1:
         raise ValueError("need k >= 1, M in {1, 2}, limit >= 1")
     if limit + k + 1 > MAX_SIEVE_VALUE:
         raise RangeTooLarge("k + limit beyond the sieve range")
     hits: list[int] = []
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        phi_n = sieve_totient(lo, hi, segment_size).values
-        phi_nk = sieve_totient(lo + k, hi + k, segment_size).values
+    for lo in range(1, limit + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, limit + 1)
+        phi_n = sieve_totient(lo, hi).values
+        phi_nk = sieve_totient(lo + k, hi + k).values
         hits.extend((np.flatnonzero(phi_nk == M * phi_n) + lo).tolist())
     return EnumerationReport(k, M, limit, tuple(hits))
 
@@ -126,12 +125,11 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-def solution_count_table(k_max: int, M: int, limit: int,
-                         segment_size: int = DEFAULT_SEGMENT_SIZE) -> CountTable:
+def solution_count_table(k_max: int, M: int, limit: int) -> CountTable:
     """Solution counts (n <= limit) for every k <= k_max, plus the minimum set."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    phi = totients_upto(limit + k_max, segment_size)
+    phi = totients_upto(limit + k_max)
     base = M * phi[1 : limit + 1]
     counts = {}
     for k in range(1, k_max + 1):

@@ -136,9 +136,9 @@ def test_c4_branch_sequences(cfg):
     assert "exponent 80" in report.evidence
 
 
-def test_c5_k6_enumeration(cfg):
-    small = enumerate_solutions(6, 2, 10**6, cfg.segment_size)
-    large = enumerate_solutions(6, 2, 10**7, cfg.segment_size)
+def test_c5_k6_enumeration():
+    small = enumerate_solutions(6, 2, 10**6)
+    large = enumerate_solutions(6, 2, 10**7)
     ok = small.solutions == (4, 6, 7, 10) and large.solutions == (4, 6, 7, 10)
     announce("C5", ok, f"10^6 -> {list(small.solutions)}, 10^7 -> {list(large.solutions)}")
     assert small.solutions == (4, 6, 7, 10)
@@ -168,8 +168,8 @@ def test_c6_theorem_counts_desk_scale(cfg):
 
 
 @pytest.mark.skipif(LEVEL == "quick", reason="full/extreme level only")
-def test_c7_full_sweep(cfg):
-    table = solution_count_table(10**4, 2, 10**6, cfg.segment_size)
+def test_c7_full_sweep():
+    table = solution_count_table(10**4, 2, 10**6)
     ok = table.min_count == 4 and table.min_achievers == (6,)
     announce("C7", ok, f"min count {table.min_count} achieved at {list(table.min_achievers)}")
     assert table.min_count == 4
@@ -185,7 +185,6 @@ def test_c8_witness_rediscovery(cfg):
         result = search_pair_r(
             PairSearchTask(a=fermat - 1, b=fermat, start=10**100,
                            parity=Parity.EVEN_ONLY, limit=10**100 + 10**6),
-            presieve_bound=cfg.presieve_bound,
             cache_dir=cfg.cache_dir,
         )
         if result.r == expected:
@@ -207,7 +206,7 @@ def test_p1_oracle_containment(cfg):
     bad = []
     for k in range(1, 201):
         for M in (1, 2):
-            oracle = set(enumerate_solutions(k, M, limit, cfg.segment_size).solutions)
+            oracle = set(enumerate_solutions(k, M, limit).solutions)
             for s in solve(k, M, cache_dir=cfg.cache_dir):
                 if s.n <= limit and s.n not in oracle:
                     bad.append((k, M, s.n))

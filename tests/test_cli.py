@@ -136,6 +136,11 @@ class TestOtherCommands:
             main(["--cache-dir", str(cache_dir), "verify-claims", "--level", "bogus"])
         assert exc.value.code == 2
 
+    def test_threads_flag_is_a_usage_error(self, cache_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", str(cache_dir), "--threads", "2", "factor", "6"])
+        assert exc.value.code == 2
+
     def test_factoring_bound_usage_error(self, capsys, cache_dir):
         code, _ = run(capsys, ["--cache-dir", str(cache_dir), "factor", str(10**19 + 9)])
         assert code == 2

@@ -1,5 +1,7 @@
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totient_forge.arith import Factorization, v2
 from totient_forge.constructions import (
@@ -255,6 +257,13 @@ class TestVerifySolution:
         s = construct_fermat_m1(34, 2, r=6)
         assert verify_solution(s) is True
 
+    def test_rechecks_carried_factorizations(self):
+        # 9 listed as prime would give totient(9) = 8 and 2*8 = totient(17)
+        s = Solution(8, 2, 9, "Enumerated",
+                     n_factorization=Factorization(((9, 1),), 9),
+                     nk_factorization=Factorization(((17, 1),), 17))
+        assert verify_solution(s) is False
+
     def test_cannot_verify_above_bound(self):
         huge = 10**40 + 1
         with pytest.raises(CannotVerify):
@@ -338,6 +347,44 @@ class TestSolve:
         assert len(sols) == 5
         assert any(s.method == "FermatCase2" for s in sols)  # 5 divides k
         assert len({v2(s.n) for s in sols}) == 5
+
+
+# 12 = 3 * 4 with 4 listed as a prime: the right value, but not certified
+BOGUS_12 = Factorization(((3, 1), (4, 1)), 12)
+
+
+class TestKFactorizationCertified:
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda d: solve(12, 2, k_fact=BOGUS_12, cache_dir=d), id="solve"),
+        pytest.param(lambda d: solve_even_m2(12, k_fact=BOGUS_12, cache_dir=d), id="solve_even_m2"),
+        pytest.param(lambda d: construct_makowski(12, 2, k_fact=BOGUS_12), id="makowski"),
+        pytest.param(lambda d: construct_fermat_m1(12, 1, k_fact=BOGUS_12), id="fermat_m1"),
+        pytest.param(lambda d: construct_seq_solution(
+            12, generate_sequence(SequenceVariant.NEW_BASE, 10**4, d), 2, k_fact=BOGUS_12),
+            id="seq_solution"),
+        pytest.param(lambda d: construct_prop_double_prime(12, 3, k_fact=BOGUS_12),
+                     id="prop_double_prime"),
+        pytest.param(lambda d: construct_prop_phi_pair(12, 1, k_fact=BOGUS_12), id="prop_phi_pair"),
+        pytest.param(lambda d: construct_ghp_m1(12, 2, 1, k_fact=BOGUS_12), id="ghp_m1"),
+    ])
+    def test_bogus_hint_rejected(self, entry, cache_dir):
+        with pytest.raises(ValueError, match="not prime"):
+            entry(cache_dir)
+
+
+def sympy_totient(n: int) -> int:
+    phi = 1
+    for p, e in sympy.factorint(n).items():
+        phi *= p ** (e - 1) * (p - 1)
+    return phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 10**6), M=st.sampled_from((1, 2)))
+def test_solve_outputs_satisfy_equation(k, M, cache_dir):
+    for s in solve(k, M, with_witness_search=True, cache_dir=cache_dir):
+        assert (s.k, s.M) == (k, M)
+        assert sympy_totient(s.n + k) == M * sympy_totient(s.n)
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -54,13 +55,6 @@ class TestSearchPairR:
             if parity is Parity.EVEN_ONLY:
                 assert res.r % 2 == 0
 
-    def test_threads_match_sequential(self):
-        for a, b, start in [(2, 3, 50), (16, 17, 1), (6, 35, 1), (4, 9, 1000)]:
-            task = PairSearchTask(a=a, b=b, start=start)
-            seq = search_pair_r(task, use_cache=False, threads=1)
-            par = search_pair_r(task, use_cache=False, threads=4)
-            assert seq.r == par.r
-
     def test_limit_exhausted(self):
         with pytest.raises(LimitExhausted):
             search_pair_r(PairSearchTask(a=2, b=3, start=1, limit=2), use_cache=False)
@@ -98,6 +92,23 @@ class TestCache:
         files[0].write_text("\n".join(text) + "\n")
         again = search_pair_r(task, cache_dir=tmp_path)
         assert again.r == first.r == 2
+
+    def test_cached_r_at_or_beyond_limit_is_a_miss(self, tmp_path):
+        assert search_pair_r(PairSearchTask(a=2, b=3, start=17), cache_dir=tmp_path).r == 20
+        # the limit is exclusive, so r = 20 does not qualify below 20
+        with pytest.raises(LimitExhausted):
+            search_pair_r(PairSearchTask(a=2, b=3, start=17, limit=20), cache_dir=tmp_path)
+        hit = search_pair_r(PairSearchTask(a=2, b=3, start=17, limit=21), cache_dir=tmp_path)
+        assert (hit.r, hit.candidates_tested) == (20, 0)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            search_pair_r(PairSearchTask(a=2, b=3, start=17), cache_dir=tmp_path)
+        assert list((tmp_path / "pair_search").iterdir()) == []
 
 
 class TestRTable:

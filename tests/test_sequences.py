@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 import sympy
@@ -156,3 +157,12 @@ class TestDiskCache:
         seqmod._memo.clear()
         regenerated = generate_sequence(SequenceVariant.HASANALIZADE, 211, tmp_path)
         assert regenerated == original
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            generate_sequence(SequenceVariant.NEW_BASE, 967, tmp_path)
+        assert list((tmp_path / "sequences").iterdir()) == []
