@@ -33,6 +33,15 @@ __all__ = [
 
 DEFAULT_FACTORING_BOUND = 10**18
 _TRIAL_DIVISION_LIMIT = 10**6
+_SCALAR_TRIAL_PRIMES: list[int] = []
+
+
+def _scalar_trial_primes() -> list[int]:
+    # primes <= 10**4 for factorize's scalar pass, converted to a list once
+    global _SCALAR_TRIAL_PRIMES
+    if not _SCALAR_TRIAL_PRIMES:
+        _SCALAR_TRIAL_PRIMES = primes_upto(10**4).tolist()
+    return _SCALAR_TRIAL_PRIMES
 
 
 class FactoringBoundExceeded(ValueError):
@@ -197,7 +206,7 @@ def factorize(
         )
     exps: dict[int, int] = {}
     rem = n
-    for p in primes_upto(10**4).tolist():
+    for p in _scalar_trial_primes():
         if p * p > rem:
             break
         if rem % p == 0:

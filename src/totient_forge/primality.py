@@ -104,6 +104,9 @@ def iter_primes(lo: int, hi: int, segment_size: int = 1 << 20):
 
 
 _TRIAL_PRIMES: list[int] = []
+# 1009 is the first prime above the trial primes (<= 997 < 1000), so an
+# n < 1009**2 that none of them divides has no factor <= sqrt(n): it is prime
+_TRIAL_PROVEN_LIMIT = 1009**2
 
 
 def _trial_primes() -> list[int]:
@@ -151,6 +154,8 @@ def is_prime_small(n: int) -> PrimalityVerdict:
             return PrimalityVerdict(n, Verdict.PRIME)
         if n % p == 0:
             return PrimalityVerdict(n, Verdict.COMPOSITE, p)
+    if n < _TRIAL_PROVEN_LIMIT:
+        return PrimalityVerdict(n, Verdict.PRIME)
     d, s = _decompose(n)
     for a in _MR_BASES:
         if _mr_composite(n, a, d, s):

@@ -2,6 +2,15 @@
 
 Totients are computed exactly with int64 cells; the supported value range is
 capped at 2**40 (far beyond every desk-scale claim, which tops out at 10**8).
+
+`enumerate_solutions` sieves each segment [lo, hi) together with its shifted
+copy [lo+k, hi+k) as one window [lo, hi+k) when the two overlap (k < hi-lo),
+so each value is sieved once. `solution_count_table` makes no per-k pass: it
+sorts the keys (phi(m) << s) | m for 2 <= m <= limit+k_max, finds for each n
+the run of keys between (M*phi(n) << s) | (n+1) and (M*phi(n) << s) | (n+k_max)
+with two binary searches, and tallies m-n over the matches. The packing is
+exact because every m is below 2**s and M*phi(m) << s < 2 * 2**27 * 2**27 =
+2**55 < 2**63 at the dense cap of 2**27 values (s = 27).
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ __all__ = [
 MAX_SIEVE_VALUE = 1 << 40
 DEFAULT_SEGMENT_SIZE = 1 << 22
 _MAX_DENSE_VALUES = 1 << 27  # ~1 GiB of int64 cells for dense helpers
+# count-table key shift: every m < _MAX_DENSE_VALUES fits below it
+_KEY_SHIFT = (_MAX_DENSE_VALUES - 1).bit_length()
 
 
 class RangeTooLarge(ValueError):
@@ -42,7 +53,14 @@ class TotientSegment:
 
 
 def sieve_totient(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> TotientSegment:
-    """Exact totients over [lo, hi) by segmented smallest-prime sieving."""
+    """Exact totients over [lo, hi) by strided prime-power sieving.
+
+    For each prime p <= sqrt(hi) and each power q = p, p^2, ... with a
+    multiple below hi, one strided slice over the multiples of q multiplies
+    their totient by p-1 (q = p) or p (higher powers) and their factored part
+    by p. What is left of each value after dividing out its factored part is
+    1 or its one prime factor above sqrt(hi).
+    """
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
     if hi > MAX_SIEVE_VALUE:
@@ -50,24 +68,19 @@ def sieve_totient(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) ->
     if hi - lo > segment_size:
         raise RangeTooLarge(f"segment of {hi - lo} exceeds the size limit {segment_size}")
     size = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
     phi = np.ones(size, dtype=np.int64)
+    factored = np.ones(size, dtype=np.int64)
     for p in primes_upto(math.isqrt(hi - 1)).tolist():
-        first = max(p, (lo + p - 1) // p * p)
-        if first >= hi:
-            continue
-        idx = np.arange(first - lo, size, p)
-        phi[idx] *= p - 1
-        rem[idx] //= p
-        while True:
-            again = idx[rem[idx] % p == 0]
-            if not again.size:
-                break
-            phi[again] *= p
-            rem[again] //= p
-            idx = again
-    left = rem > 1
-    phi[left] *= rem[left] - 1
+        q, factor = p, p - 1
+        while (first := -lo % q) < size:
+            phi[first::q] *= factor
+            factored[first::q] *= p
+            q, factor = q * p, p
+    rest = np.arange(lo, hi, dtype=np.int64)
+    rest //= factored
+    rest -= 1
+    np.maximum(rest, 1, out=rest)  # totient factor of the leftover prime, or 1
+    phi *= rest
     return TotientSegment(lo, hi, phi)
 
 
@@ -104,8 +117,14 @@ def enumerate_solutions(k: int, M: int, limit: int) -> EnumerationReport:
     hits: list[int] = []
     for lo in range(1, limit + 1, DEFAULT_SEGMENT_SIZE):
         hi = min(lo + DEFAULT_SEGMENT_SIZE, limit + 1)
-        phi_n = sieve_totient(lo, hi).values
-        phi_nk = sieve_totient(lo + k, hi + k).values
+        size = hi - lo
+        if k < size:
+            # [lo, hi) and [lo+k, hi+k) overlap: sieve their union once
+            phi = sieve_totient(lo, hi + k, size + k).values
+            phi_n, phi_nk = phi[:size], phi[k:]
+        else:
+            phi_n = sieve_totient(lo, hi).values
+            phi_nk = sieve_totient(lo + k, hi + k).values
         hits.extend((np.flatnonzero(phi_nk == M * phi_n) + lo).tolist())
     return EnumerationReport(k, M, limit, tuple(hits))
 
@@ -130,10 +149,21 @@ def solution_count_table(k_max: int, M: int, limit: int) -> CountTable:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     phi = totients_upto(limit + k_max)
-    base = M * phi[1 : limit + 1]
-    counts = {}
-    for k in range(1, k_max + 1):
-        counts[k] = int(np.count_nonzero(phi[1 + k : limit + k + 1] == base))
+    mask = (1 << _KEY_SHIFT) - 1
+    m = np.arange(2, limit + k_max + 1, dtype=np.int64)
+    keys = np.sort((phi[2:] << _KEY_SHIFT) | m)
+    # n's run starts at low = (M*phi(n) << _KEY_SHIFT) | (n+1) and ends at
+    # low + k_max - 1; sorting the lows lets the searches sweep keys in order
+    n1 = np.arange(2, limit + 2, dtype=np.int64)
+    low = np.sort(((M * phi[1 : limit + 1]) << _KEY_SHIFT) | n1)
+    first = np.searchsorted(keys, low, side="left")
+    runs = np.searchsorted(keys, low + (k_max - 1), side="right") - first
+    # expand the runs: the i-th match overall sits at keys[i + shift]
+    shift = np.repeat(first - (np.cumsum(runs) - runs), runs)
+    m_hit = keys[np.arange(runs.sum()) + shift] & mask
+    n_hit = np.repeat((low & mask) - 1, runs)
+    tally = np.bincount(m_hit - n_hit, minlength=k_max + 1)
+    counts = {k: int(tally[k]) for k in range(1, k_max + 1)}
     min_count = min(counts.values())
     achievers = tuple(k for k in sorted(counts) if counts[k] == min_count)
     return CountTable(k_max, M, limit, counts, min_count, achievers)

@@ -3,6 +3,7 @@ import random
 import pytest
 import sympy
 
+from totient_forge import primality
 from totient_forge.primality import (
     DETERMINISTIC_LIMIT,
     Verdict,
@@ -31,6 +32,23 @@ class TestIsPrimeSmall:
     def test_rejects_huge(self):
         with pytest.raises(ValueError):
             is_prime_small(DETERMINISTIC_LIMIT)
+
+    # trial division by the primes <= 997 proves every n < 1009**2
+    @pytest.mark.parametrize("n", [1009, 7919, 1018057])
+    def test_primes_proven_by_trial_division(self, n, monkeypatch):
+        def no_miller_rabin(*args):
+            raise AssertionError("Miller-Rabin ran after trial division proved n prime")
+
+        monkeypatch.setattr(primality, "_mr_composite", no_miller_rabin)
+        assert is_prime_small(n).verdict is Verdict.PRIME
+
+    @pytest.mark.parametrize("n", [1009**2, 1009 * 1013])
+    def test_products_of_primes_above_trial_range(self, n):
+        v = is_prime_small(n)
+        assert v.verdict is Verdict.COMPOSITE
+        d = n - 1
+        s = (d & -d).bit_length() - 1
+        assert _mr_composite(n, v.witness, d >> s, s)
 
     def test_exhaustive_small_against_sympy(self):
         for n in range(0, 100_000):

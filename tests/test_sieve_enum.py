@@ -1,8 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from totient_forge import sieve_enum
+from totient_forge.arith import factorize
 from totient_forge.sieve_enum import (
     MAX_SIEVE_VALUE,
     RangeTooLarge,
@@ -10,6 +15,14 @@ from totient_forge.sieve_enum import (
     sieve_totient,
     solution_count_table,
     totients_upto,
+)
+
+
+# values just around prime powers, where the higher-power slices start and stop
+_NEAR_PRIME_POWER = st.builds(
+    lambda q, d: max(1, q + d),
+    st.sampled_from([2**e for e in range(1, 40)] + [3**e for e in range(1, 26)]),
+    st.integers(-60, 60),
 )
 
 
@@ -40,6 +53,12 @@ class TestSieveTotient:
             sieve_totient(1, 2 + (1 << 22), segment_size=1 << 22)
         with pytest.raises(RangeTooLarge):
             sieve_totient(MAX_SIEVE_VALUE, MAX_SIEVE_VALUE + 10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lo=st.one_of(st.integers(1, 10**12), _NEAR_PRIME_POWER), w=st.integers(1, 2000))
+    def test_matches_factorize(self, lo, w):
+        seg = sieve_totient(lo, lo + w)
+        assert seg.values.tolist() == [factorize(n).totient() for n in range(lo, lo + w)]
 
     def test_totients_upto(self):
         t = totients_upto(1000, segment_size=128)
@@ -74,6 +93,28 @@ class TestEnumerate:
             )
             assert enumerate_solutions(k, M, 2000).solutions == expected
 
+    # limit 1000 with 64-value segments: 15 full segments and a last one of 40
+    @pytest.mark.parametrize("k", [1, 6, 39, 40, 41, 63, 64, 65, 200])
+    def test_matches_naive_across_segments(self, monkeypatch, k):
+        monkeypatch.setattr(sieve_enum, "DEFAULT_SEGMENT_SIZE", 64)
+        phi = totients_upto(1000 + k)
+        for M in (1, 2):
+            expected = tuple(n for n in range(1, 1001) if phi[n + k] == M * phi[n])
+            assert enumerate_solutions(k, M, 1000).solutions == expected
+
+    @pytest.mark.parametrize("k, sieved", [(6, 1000 + 16 * 6), (40, 1000 + 15 * 40 + 40), (64, 2000)])
+    def test_sieves_overlapping_windows_once(self, monkeypatch, k, sieved):
+        windows = []
+
+        def recording_sieve(lo, hi, *args):
+            windows.append(hi - lo)
+            return sieve_totient(lo, hi, *args)
+
+        monkeypatch.setattr(sieve_enum, "DEFAULT_SEGMENT_SIZE", 64)
+        monkeypatch.setattr(sieve_enum, "sieve_totient", recording_sieve)
+        enumerate_solutions(k, 2, 1000)
+        assert sum(windows) == sieved
+
     def test_validation(self):
         with pytest.raises(ValueError):
             enumerate_solutions(0, 2, 100)
@@ -97,3 +138,25 @@ class TestCountTable:
         lines = solution_count_table(3, 2, 50).to_csv().splitlines()
         assert lines[0] == "k,count"
         assert len(lines) == 4
+
+
+def _per_k_counts(k_max, M, limit):
+    phi = totients_upto(limit + k_max)
+    base = M * phi[1 : limit + 1]
+    return {
+        k: int(np.count_nonzero(phi[1 + k : limit + k + 1] == base))
+        for k in range(1, k_max + 1)
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_max=st.integers(1, 300), M=st.sampled_from((1, 2)), limit=st.integers(1, 3000))
+@example(k_max=300, M=2, limit=40)
+@example(k_max=2, M=1, limit=1)
+def test_count_table_matches_per_k_reference(k_max, M, limit):
+    table = solution_count_table(k_max, M, limit)
+    counts = _per_k_counts(k_max, M, limit)
+    low = min(counts.values())
+    assert table.counts == counts
+    assert table.min_count == low
+    assert table.min_achievers == tuple(k for k in sorted(counts) if counts[k] == low)
