@@ -60,6 +60,16 @@ class TestSieveTotient:
         seg = sieve_totient(lo, lo + w)
         assert seg.values.tolist() == [factorize(n).totient() for n in range(lo, lo + w)]
 
+    # 64-value blocks: a 1000-value range spans 16 blocks, the last one partial;
+    # every prime power scattered (dense 2), strided (10**6) or split at 16
+    @pytest.mark.parametrize("dense", [2, 16, 10**6])
+    @pytest.mark.parametrize("lo", [1, 2**20 - 500, 3**13 - 37, 10**9 + 7])
+    def test_blocks_match_factorize(self, monkeypatch, lo, dense):
+        monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", 64)
+        monkeypatch.setattr(sieve_enum, "_DENSE_STRIDE", dense)
+        seg = sieve_totient(lo, lo + 1000)
+        assert seg.values.tolist() == [factorize(n).totient() for n in range(lo, lo + 1000)]
+
     def test_totients_upto(self):
         t = totients_upto(1000, segment_size=128)
         for n in (1, 2, 96, 97, 720, 1000):
