@@ -22,7 +22,6 @@ __all__ = [
     "is_prime_small",
     "is_probable_prime",
     "primes_upto",
-    "iter_primes",
     "presieve",
 ]
 
@@ -70,7 +69,7 @@ def primes_upto(limit: int) -> np.ndarray:
     """Ascending int64 array of all primes <= limit."""
     global _prime_cache, _prime_cache_limit
     if limit > 10**8:
-        raise ValueError("primes_upto is capped at 10**8; use iter_primes")
+        raise ValueError(f"primes_upto is capped at 10**8, got {limit}")
     if limit > _prime_cache_limit:
         sieve = np.ones(limit + 1, dtype=bool)
         sieve[:2] = False
@@ -81,26 +80,6 @@ def primes_upto(limit: int) -> np.ndarray:
         _prime_cache_limit = limit
     cut = np.searchsorted(_prime_cache, limit, side="right")
     return _prime_cache[:cut]
-
-
-def iter_primes(lo: int, hi: int, segment_size: int = 1 << 20):
-    """Yield primes in [lo, hi] in increasing order via a segmented sieve."""
-    lo = max(lo, 2)
-    if lo > hi:
-        return
-    base = primes_upto(math.isqrt(hi)).tolist()
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
-        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        for p in base:
-            first = max(p * p, (seg_lo + p - 1) // p * p)
-            if first > seg_hi:
-                if p * p > seg_hi:
-                    break
-                continue
-            mask[first - seg_lo :: p] = False
-        for value in (np.flatnonzero(mask) + seg_lo).tolist():
-            yield value
 
 
 _TRIAL_PRIMES: list[int] = []

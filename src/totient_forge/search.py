@@ -132,8 +132,12 @@ def search_pair_r(
 
     result = None
     tested_total = 0
-    # blocks grow geometrically so tiny searches stay tiny
+    # blocks grow geometrically so tiny searches stay tiny; below
+    # PRESIEVE_BOUND**2 a block's presieve bound is the isqrt of its top, so a
+    # short first block also sieves fewer primes
     block_start, count = first, 1 << 12
+    if task.b * (first + count * step) + 1 < PRESIEVE_BOUND**2:
+        count = 1 << 6
     while block_start < limit:
         count = min(count, (limit - block_start + step - 1) // step)
         result, tested = _scan_block(task, block_start, count, step)

@@ -11,21 +11,27 @@ the doubling rules ("new" variants) admit p = 2a + 1 when
 Each variant starts from a forced prefix, exempt from the rules (branch
 variants deliberately reorder small primes), and then greedily appends the
 smallest qualifying prime, strictly increasing among generated terms.
+
+The product is squarefree, so each qualifying p is d + 2 or 2d - 1 for
+exactly one divisor d of it: generation walks the product's sorted divisors,
+not the primes below the bound, and extends them by d * q for each new term q.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .arith import star_divides
+from .arith import Factorization, iter_divisors, star_divides
 from .config import default_cache_dir, write_text_atomic
-from .primality import is_probable_prime, iter_primes
+from .primality import is_probable_prime
 
 __all__ = [
+    "MAX_BOUND",
     "SequenceVariant",
     "PrimeSequence",
     "generate_sequence",
@@ -34,6 +40,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# the largest bound with isqrt(bound) <= 10**8; the capped divisor lists of
+# the long branch sequences grow with the bound
+MAX_BOUND = (10**8 + 1) ** 2 - 1
 
 _PREFIXES = {
     "hasanalizade": (3,),
@@ -100,6 +110,8 @@ def generate_sequence(
     """Generate (or load from cache) the variant's sequence up to `bound`."""
     if bound < max(variant.prefix):
         raise ValueError("bound must cover the forced prefix")
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     key = (variant, bound, str(cache_dir))
     if key in _memo:
@@ -115,24 +127,27 @@ def generate_sequence(
 
 def _generate(variant: SequenceVariant, bound: int) -> PrimeSequence:
     rule = _rule(variant)
+    # p = scale*d + offset for a divisor d of the product; p increases with d
+    scale, offset = (1, 2) if variant is SequenceVariant.HASANALIZADE else (2, -1)
+    cap = (bound - offset) // scale
     terms = list(variant.prefix)
     seen = set(terms)
     product = math.prod(terms)
+    divisors = iter_divisors(Factorization.from_pairs((p, 1) for p in terms), cap)
     last_generated = 1
     while True:
-        found = None
-        for p in iter_primes(last_generated + 1, bound):
-            if p in seen:
-                continue
-            if rule(p, product):
-                found = p
+        for d in divisors[bisect_right(divisors, (last_generated - offset) // scale):]:
+            p = scale * d + offset
+            if p not in seen and is_probable_prime(p).is_prime and rule(p, product):
                 break
-        if found is None:
+        else:
             break
-        terms.append(found)
-        seen.add(found)
-        product *= found
-        last_generated = found
+        terms.append(p)
+        seen.add(p)
+        product *= p
+        last_generated = p
+        multiples = [d * p for d in divisors[: bisect_right(divisors, cap // p)]]
+        divisors = sorted(divisors + multiples)
     aux = _aux_for(variant, terms)
     return PrimeSequence(variant, variant.prefix, tuple(terms), aux, product, bound)
 

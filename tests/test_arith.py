@@ -1,8 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totient_forge.arith import (
     FactoringBoundExceeded,
@@ -169,6 +172,19 @@ class TestFactorization:
         assert str(f) == "2^5 * 17 * 103"
         assert Factorization.parse(str(f)) == f
         assert Factorization.parse("1").value == 1
+
+    # small primes, one near 2**32 and two above 2**64 (parse re-tests them)
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(
+        st.tuples(st.sampled_from((2, 3, 5, 7, 641, 65537, 4294967311, 2**89 - 1, 2**107 - 1)),
+                  st.integers(0, 4)),
+        max_size=6,
+    ))
+    def test_parse_str_round_trip_property(self, pairs):
+        f = Factorization.from_pairs(pairs)
+        again = Factorization.parse(str(f))
+        assert again == f
+        assert again.value == math.prod(p**e for p, e in pairs)
 
     def test_parse_rejects_composite(self):
         with pytest.raises(ValueError):

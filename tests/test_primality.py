@@ -2,15 +2,17 @@ import random
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from totient_forge import primality
 from totient_forge.primality import (
     DETERMINISTIC_LIMIT,
+    PRESIEVE_BOUND,
     Verdict,
     _mr_composite,
     is_prime_small,
     is_probable_prime,
-    iter_primes,
     presieve,
     primes_upto,
 )
@@ -126,12 +128,9 @@ class TestSieves:
     def test_primes_upto_matches_sympy(self):
         assert primes_upto(10**6).tolist() == list(sympy.primerange(2, 10**6 + 1))
 
-    def test_iter_primes_segments(self):
-        got = list(iter_primes(10**6 - 10**4, 10**6 + 10**4, segment_size=2048))
-        assert got == list(sympy.primerange(10**6 - 10**4, 10**6 + 10**4 + 1))
-
-    def test_iter_primes_from_two(self):
-        assert list(iter_primes(1, 30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    def test_primes_upto_cap(self):
+        with pytest.raises(ValueError, match=r"capped at 10\*\*8"):
+            primes_upto(10**8 + 1)
 
 
 class TestPresieve:
@@ -156,6 +155,25 @@ class TestPresieve:
                 r = start + i
                 if sympy.isprime(a * r + 1) and sympy.isprime(b * r + 1):
                     assert alive, (a, b, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.integers(1, 64),
+        gap=st.integers(1, 64),
+        start=st.one_of(st.integers(1, 2000), st.integers(1, 10**12)),
+        count=st.integers(0, 300),
+        step=st.sampled_from((1, 2)),
+        bound=st.sampled_from((3, 97, 1000, PRESIEVE_BOUND)),
+    )
+    @example(a=2, gap=1, start=1, count=300, step=1, bound=PRESIEVE_BOUND)
+    def test_never_clears_a_prime_pair(self, a, gap, start, count, step, bound):
+        # small starts put forms equal to sieving primes inside the window
+        mask = presieve(a, a + gap, start, count, step, bound)
+        assert len(mask) == count
+        for i, alive in enumerate(mask):
+            r = start + i * step
+            if sympy.isprime(a * r + 1) and sympy.isprime((a + gap) * r + 1):
+                assert alive, (a, a + gap, r)
 
     def test_dead_candidates_really_composite(self):
         mask = presieve(4, 9, 5, 512, step=2)

@@ -4,7 +4,8 @@ import random
 import pytest
 import sympy
 
-from totient_forge.primality import Verdict
+from totient_forge import search
+from totient_forge.primality import Verdict, presieve
 from totient_forge.search import (
     PAIR_WITNESS_TABLE,
     LimitExhausted,
@@ -54,6 +55,22 @@ class TestSearchPairR:
             assert res.r >= start
             if parity is Parity.EVEN_ONLY:
                 assert res.r % 2 == 0
+
+    @pytest.mark.parametrize("a,b,start,blocks", [
+        (92, 211, 1, [64, 256, 1024]),  # minimal r = 396
+        (2, 3, 4 * 10**9, [4096]),  # 3 * (start + 4096) + 1 > PRESIEVE_BOUND**2
+    ])
+    def test_presieve_block_sizes(self, a, b, start, blocks, monkeypatch):
+        counts = []
+
+        def recording(a_, b_, start_, count, *args):
+            counts.append(count)
+            return presieve(a_, b_, start_, count, *args)
+
+        monkeypatch.setattr(search, "presieve", recording)
+        res = search_pair_r(PairSearchTask(a=a, b=b, start=start), use_cache=False)
+        assert res.r == brute_force_r(a, b, start)
+        assert counts == blocks
 
     def test_limit_exhausted(self):
         with pytest.raises(LimitExhausted):

@@ -1,8 +1,11 @@
 import math
 import os
+import tempfile
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from totient_forge.claims import (
     EXPECTED_HASANALIZADE,
@@ -34,6 +37,41 @@ def independent_rule_check(seq: PrimeSequence) -> None:
                 assert product % (a + 1) == 0
                 assert set(sympy.factorint(a)) <= set(sympy.factorint(product))
         product *= p
+
+
+def brute_force_terms(variant: SequenceVariant, bound: int) -> tuple[int, ...]:
+    """Independent oracle: walk every prime up to the bound, rules via sympy."""
+    terms = list(variant.prefix)
+    product = math.prod(terms)
+    last = 2  # neither family admits 2: p - 2 = 0, and 2 is not 2a + 1
+    while True:
+        for p in sympy.primerange(last + 1, bound + 1):
+            if p in terms:
+                continue
+            # the terms are the primes of the product
+            if variant is SequenceVariant.HASANALIZADE:
+                ok = product % (p - 2) == 0 and set(sympy.factorint(p - 1)) <= {2, *terms}
+            else:
+                a = (p - 1) // 2
+                ok = product % (a + 1) == 0 and set(sympy.factorint(a)) <= set(terms)
+            if ok:
+                break
+        else:
+            return tuple(terms)
+        terms.append(p)
+        product *= p
+        last = p
+
+
+@settings(max_examples=80, deadline=None)
+@given(variant=st.sampled_from(SequenceVariant), bound=st.integers(2, 3000))
+@example(variant=SequenceVariant.NEW_BRANCH7, bound=3000)
+@example(variant=SequenceVariant.HASANALIZADE, bound=3000)
+def test_generation_matches_brute_force(variant, bound):
+    bound = max(bound, max(variant.prefix))  # lower bounds are rejected
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = generate_sequence(variant, bound, tmp)
+    assert seq.terms == brute_force_terms(variant, bound)
 
 
 class TestGoldenLists:
@@ -71,6 +109,10 @@ class TestCompleteness:
                 a = d - 1
                 assert not set(sympy.factorint(a)) <= set(sympy.factorint(product)), p
 
+    def test_new_base_has_no_term_up_to_1e12(self, cache_dir):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**12, cache_dir)
+        assert seq.terms == EXPECTED_NEW_BASE
+
     def test_hasanalizade_complete_to_2e5(self, cache_dir):
         seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
         product, last = seq.product, seq.terms[-1]
@@ -90,6 +132,13 @@ class TestGeneration:
     def test_bound_below_prefix_rejected(self, cache_dir):
         with pytest.raises(ValueError):
             generate_sequence(SequenceVariant.NEW_BRANCH13_23, 20, cache_dir)
+
+    def test_bound_cap(self, cache_dir):
+        # the largest accepted bound has isqrt(bound) == 10**8
+        inside = (10**8 + 1) ** 2 - 1
+        assert generate_sequence(SequenceVariant.NEW_BASE, inside, cache_dir).terms == EXPECTED_NEW_BASE
+        with pytest.raises(ValueError):
+            generate_sequence(SequenceVariant.NEW_BASE, inside + 1, cache_dir)
 
     def test_aux_values(self, cache_dir):
         seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4, cache_dir)
