@@ -3,18 +3,21 @@
 All values are plain Python ints (arbitrary precision). Factorizations are
 certified: every stored prime passes the probable-prime test, and huge inputs
 must arrive with a caller-supplied factorization instead of being factored
-blind.
+blind. Blind factoring is capped at 10**18 (< 2**63, so numpy int64 trial
+division is exact); below 1009**2 it walks primality's smallest-prime-factor
+table.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from .primality import is_probable_prime, primes_upto
+from .primality import _TRIAL_PROVEN_LIMIT, is_probable_prime, primes_upto, spf_table
 
 __all__ = [
     "DEFAULT_FACTORING_BOUND",
@@ -32,16 +35,11 @@ __all__ = [
 ]
 
 DEFAULT_FACTORING_BOUND = 10**18
+# a cofactor with no prime factor <= _FIRST_PASS_LIMIT is prime below its
+# square; composite cofactors are cleared of factors <= _TRIAL_DIVISION_LIMIT
+# before rho
+_FIRST_PASS_LIMIT = 10**4
 _TRIAL_DIVISION_LIMIT = 10**6
-_SCALAR_TRIAL_PRIMES: list[int] = []
-
-
-def _scalar_trial_primes() -> list[int]:
-    # primes <= 10**4 for factorize's scalar pass, converted to a list once
-    global _SCALAR_TRIAL_PRIMES
-    if not _SCALAR_TRIAL_PRIMES:
-        _SCALAR_TRIAL_PRIMES = primes_upto(10**4).tolist()
-    return _SCALAR_TRIAL_PRIMES
 
 
 class FactoringBoundExceeded(ValueError):
@@ -85,7 +83,17 @@ class Factorization:
         return Factorization.from_pairs(self.factors + other.factors)
 
     def times_prime(self, p: int, e: int = 1) -> "Factorization":
-        return Factorization.from_pairs(self.factors + ((p, e),))
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e == 0:
+            return self
+        factors = self.factors
+        i = bisect_left(factors, (p,))  # (p,) sorts before every (p, e)
+        if i < len(factors) and factors[i][0] == p:
+            factors = factors[:i] + ((p, factors[i][1] + e),) + factors[i + 1 :]
+        else:
+            factors = factors[:i] + ((p, e),) + factors[i:]
+        return Factorization(factors, self.value * p**e)
 
     def div_exact(self, other: "Factorization") -> "Factorization":
         """Quotient factorization; other must divide self exactly."""
@@ -171,10 +179,24 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             return g
 
 
-def _factor_into(n: int, out: dict[int, int], rng: random.Random) -> None:
-    if n == 1:
-        return
-    if is_probable_prime(n).is_prime:
+def _divide_out(rem: int, primes: np.ndarray, exps: dict[int, int]) -> int:
+    """Divide every prime of `primes` out of rem < 2**63; record them in exps."""
+    for p in primes[rem % primes == 0].tolist():
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        exps[p] = e
+    return rem
+
+
+def _factor_into(n: int, out: dict[int, int], rng: random.Random, composite: bool = False) -> None:
+    """Add the primes of n > 1, which has none <= 10**6, to out.
+
+    Below 10**12 such an n is prime. With composite=True, n is known to be
+    composite and is not tested again.
+    """
+    if not composite and (n < _TRIAL_DIVISION_LIMIT**2 or is_probable_prime(n).is_prime):
         out[n] = out.get(n, 0) + 1
         return
     d = _pollard_brent(n, rng)
@@ -189,12 +211,17 @@ def factorize(
 ) -> Factorization:
     """Exact factorization of n >= 1.
 
-    Trial division by primes up to 10**6, then Pollard rho (Brent). Above
-    `bound` a caller-supplied factorization is mandatory and is verified
-    before being trusted.
+    Below 1009**2, a walk through the smallest-prime-factor table. Above, one
+    vectorised division by the primes <= 10**4; a cofactor left at 10**8 or
+    more is tested for primality once, and a composite one is cleared of the
+    primes <= 10**6 and split by Pollard rho (Brent). Above `bound` (at most
+    DEFAULT_FACTORING_BOUND) a caller-supplied factorization is mandatory and
+    is verified before being trusted.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
+    if bound > DEFAULT_FACTORING_BOUND:
+        raise ValueError(f"factoring bound {bound} exceeds {DEFAULT_FACTORING_BOUND}")
     if hint is not None:
         if hint.value != n:
             raise ValueError("factorization hint does not match the value")
@@ -206,35 +233,21 @@ def factorize(
         )
     exps: dict[int, int] = {}
     rem = n
-    for p in _scalar_trial_primes():
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            exps[p] = e
-    if rem > 1 and rem >= 10**8 and not is_probable_prime(rem).is_prime:
-        # no factor <= 10^4 left; sweep the rest of the trial range in one
-        # vectorized pass when rem fits in int64 (always true at the default
-        # bound), else fall back to the scalar loop
-        primes = primes_upto(_TRIAL_DIVISION_LIMIT)
-        if rem < 2**63:
-            hits = primes[np.flatnonzero(rem % primes == 0)].tolist()
-        else:
-            hits = [p for p in primes.tolist() if rem % p == 0]
-        for p in hits:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            exps[p] = e
-    if rem > 1:
-        if rem < _TRIAL_DIVISION_LIMIT**2 or is_probable_prime(rem).is_prime:
-            exps[rem] = exps.get(rem, 0) + 1
-        else:
-            _factor_into(rem, exps, random.Random(n))
+    if rem >= _TRIAL_PROVEN_LIMIT:
+        rem = _divide_out(rem, primes_upto(_FIRST_PASS_LIMIT), exps)
+        if rem >= _TRIAL_PROVEN_LIMIT:
+            # no factor <= 10**4 is left, so below 10**8 rem is prime
+            if rem < _FIRST_PASS_LIMIT**2 or is_probable_prime(rem).is_prime:
+                exps[rem] = 1
+            else:
+                rest = _divide_out(rem, primes_upto(_TRIAL_DIVISION_LIMIT), exps)
+                if rest > 1:
+                    _factor_into(rest, exps, random.Random(n), composite=rest == rem)
+            rem = 1
+    while rem > 1:  # rem < 1009**2 here
+        p = spf_table()[rem] or rem
+        exps[p] = exps.get(p, 0) + 1
+        rem //= p
     return Factorization.from_pairs(exps.items())
 
 

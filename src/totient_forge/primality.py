@@ -1,13 +1,18 @@
 """Primality testing and prime sieving.
 
-Verdict policy: below 2**64 the answer is deterministic (fixed strong
-pseudoprime base set); above, a strong base-2 test plus a strong Lucas test
-decide, and passing numbers are reported as ProbablePrime, never Prime.
+Verdict policy: below 2**64 the answer is deterministic; above, a strong
+base-2 test plus a strong Lucas test decide, and passing numbers are reported
+as ProbablePrime, never Prime. Below 1009**2 the verdict is one lookup in a
+smallest-prime-factor table (uint16, ~2 MB, built on the first such query);
+from there to 2**64, trial division by the primes <= 997 and then a fixed
+strong-pseudoprime base set decide. A Composite verdict found by a factor
+carries the smallest prime factor as its witness either way.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +28,7 @@ __all__ = [
     "is_probable_prime",
     "primes_upto",
     "presieve",
+    "spf_table",
 ]
 
 DETERMINISTIC_LIMIT = 1 << 64
@@ -86,6 +92,7 @@ _TRIAL_PRIMES: list[int] = []
 # 1009 is the first prime above the trial primes (<= 997 < 1000), so an
 # n < 1009**2 that none of them divides has no factor <= sqrt(n): it is prime
 _TRIAL_PROVEN_LIMIT = 1009**2
+_SPF: array | None = None
 
 
 def _trial_primes() -> list[int]:
@@ -94,6 +101,23 @@ def _trial_primes() -> list[int]:
     if not _TRIAL_PRIMES:
         _TRIAL_PRIMES = primes_upto(1000).tolist()
     return _TRIAL_PRIMES
+
+
+def spf_table() -> array:
+    """Smallest prime factor of every n < 1009**2, 0 for 0, 1 and primes.
+
+    Every composite below 1009**2 has a factor among the trial primes, so the
+    table needs no other bound and fits in uint16. Built on the first call.
+    """
+    global _SPF
+    if _SPF is None:
+        table = array("H", [0]) * _TRIAL_PROVEN_LIMIT
+        cells = np.frombuffer(table, dtype=np.uint16)
+        # descending, so the smallest prime writes each composite last
+        for p in reversed(_trial_primes()):
+            cells[p * p :: p] = p
+        _SPF = table
+    return _SPF
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +147,19 @@ def _mr_composite(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime_small(n: int) -> PrimalityVerdict:
-    """Deterministic verdict for n < 2**64."""
+    """Deterministic verdict for n < 2**64 (a table lookup below 1009**2)."""
     if n >= DETERMINISTIC_LIMIT:
         raise ValueError("is_prime_small requires n < 2**64")
     if n < 2:
         return PrimalityVerdict(n, Verdict.COMPOSITE)
+    if n < _TRIAL_PROVEN_LIMIT:
+        p = spf_table()[n]
+        if p:
+            return PrimalityVerdict(n, Verdict.COMPOSITE, p)
+        return PrimalityVerdict(n, Verdict.PRIME)
     for p in _trial_primes():
-        if n == p:
-            return PrimalityVerdict(n, Verdict.PRIME)
         if n % p == 0:
             return PrimalityVerdict(n, Verdict.COMPOSITE, p)
-    if n < _TRIAL_PROVEN_LIMIT:
-        return PrimalityVerdict(n, Verdict.PRIME)
     d, s = _decompose(n)
     for a in _MR_BASES:
         if _mr_composite(n, a, d, s):

@@ -3,12 +3,14 @@
 Totients are computed exactly with int64 cells; the supported value range is
 capped at 2**40 (far beyond every desk-scale claim, which tops out at 10**8).
 
-`sieve_totient` works through its range in blocks of 2**16 values, and
-`enumerate_solutions` and `totients_upto` call it one block at a time. A
-block's arrays (512 KiB each) stay in the L2 cache and below numpy's 4 MiB
-huge-page threshold, so sieve time does not depend on whether the kernel has
-huge pages to hand out (with 2**22-value windows, C5's two enumerations took
-~15% longer without them).
+The sieve works through its range in blocks of 2**16 values. A block's arrays
+(512 KiB each) stay in the L2 cache and below numpy's 4 MiB huge-page
+threshold, so sieve time does not depend on whether the kernel has huge pages
+to hand out (with 2**22-value windows, C5's two enumerations took ~15% longer
+without them). `sieve_totient`, `totients_upto` and `enumerate_solutions`
+share one block kernel, `_BlockSieve`; each call builds one prime-power table
+for its largest value and one set of block arrays, and reuses them for every
+block.
 
 `enumerate_solutions` sieves each segment [lo, hi) together with its shifted
 copy [lo+k, hi+k) as one window [lo, hi+k) when the two overlap (k < hi-lo),
@@ -63,65 +65,86 @@ class TotientSegment:
     values: np.ndarray  # values[i - lo] == totient(i) for lo <= i < hi
 
 
-def _prime_powers(hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, factor, p) for every power q = p^j < hi of every prime p <= sqrt(hi-1):
-    a multiple of q gets its totient multiplied by factor (p-1 for j = 1, else
-    p) and its factored part by p."""
-    p = primes_upto(math.isqrt(hi - 1))
-    qs, ps = [p], [p]
-    while (keep := qs[-1] <= (hi - 1) // ps[-1]).any():
-        qs.append(qs[-1][keep] * ps[-1][keep])
-        ps.append(ps[-1][keep])
-    q, p = np.concatenate(qs), np.concatenate(ps)
-    return q, np.where(q == p, p - 1, p), p
+class _BlockSieve:
+    """Totients of windows below hi, in blocks of at most `span` values.
+
+    Every power q = p^j < hi of every prime p <= sqrt(hi-1) multiplies the
+    totient of each of its multiples by p-1 (j = 1) or p (j > 1) and its
+    factored part by p: by one strided slice per q below _DENSE_STRIDE, and
+    by two scattered multiply.at calls for all larger q together, which have
+    few multiples per block. What is left of a value after dividing out its
+    factored part is 1 or its one prime factor above sqrt(hi).
+
+    The scatter's index pattern is built once: a block of `span` values holds
+    at most ceil(span/q) multiples of q, the j-th at first + j*q, so only
+    `first` changes from block to block, and a multiple past the block's end
+    lands in one spare cell. The work arrays are allocated once too, so no
+    block maps fresh memory (whose page faults made sieve time depend on the
+    host's memory state).
+    """
+
+    def __init__(self, hi: int, span: int):
+        span = min(span, _BLOCK_VALUES)
+        p = primes_upto(math.isqrt(hi - 1))
+        qs, ps = [p], [p]
+        while (keep := qs[-1] <= (hi - 1) // ps[-1]).any():
+            qs.append(qs[-1][keep] * ps[-1][keep])
+            ps.append(ps[-1][keep])
+        q, p = np.concatenate(qs), np.concatenate(ps)
+        factor = np.where(q == p, p - 1, p)
+        dense = q < _DENSE_STRIDE
+        self.strided = list(zip(q[dense].tolist(), factor[dense].tolist(), p[dense].tolist()))
+        # ordered by prime, so a block can stop at the square root of its
+        # own largest value
+        by_p = np.argsort(p[~dense], kind="stable")
+        self.q, self.p = q[~dense][by_p], p[~dense][by_p]
+        count = (span + self.q - 1) // self.q
+        self.cells_before = np.concatenate(([0], np.cumsum(count)))
+        self.row = np.repeat(np.arange(self.q.size), count)
+        self.step = np.arange(self.row.size) - np.repeat(self.cells_before[:-1], count)
+        self.step *= self.q[self.row]
+        self.cell_factor, self.cell_p = factor[~dense][by_p][self.row], self.p[self.row]
+        self.at = np.empty(self.row.size, dtype=np.int64)
+        self.phi, self.part = np.empty(span + 1, dtype=np.int64), np.empty(span + 1, dtype=np.int64)
+        self.rest, self.ramp = np.empty(span, dtype=np.int64), np.arange(span, dtype=np.int64)
+        self.span = span
+
+    def into(self, lo: int, out: np.ndarray) -> None:
+        """out[i] = totient(lo + i), for lo + out.size <= hi."""
+        for off in range(0, out.size, self.span):
+            start = lo + off
+            size = min(self.span, out.size - off)
+            phi, part, rest = self.phi[: size + 1], self.part[: size + 1], self.rest[:size]
+            phi.fill(1)
+            part.fill(1)
+            for qd, fd, pd in self.strided:
+                first = -start % qd
+                phi[first:size:qd] *= fd
+                part[first:size:qd] *= pd
+            used = np.searchsorted(self.p, math.isqrt(start + size - 1), side="right")
+            cells = self.cells_before[used]
+            at = np.take(-start % self.q[:used], self.row[:cells], out=self.at[:cells])
+            at += self.step[:cells]
+            np.minimum(at, size, out=at)  # cell `size` takes the multiples past the block
+            np.multiply.at(phi, at, self.cell_factor[:cells])
+            np.multiply.at(part, at, self.cell_p[:cells])
+            np.add(self.ramp[:size], start, out=rest)
+            rest //= part[:size]
+            rest -= 1
+            np.maximum(rest, 1, out=rest)  # totient factor of the leftover prime, or 1
+            np.multiply(phi[:size], rest, out=out[off : off + size])
 
 
 def sieve_totient(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> TotientSegment:
-    """Exact totients over [lo, hi) by prime-power sieving.
-
-    The range is sieved in blocks of _BLOCK_VALUES values. In a block, every
-    multiple of every prime power q = p^j < hi (p <= sqrt(hi)) has its totient
-    multiplied by p-1 (j = 1) or p (j > 1) and its factored part by p: by one
-    strided slice per q below _DENSE_STRIDE, and by two scattered multiply.at
-    calls for all larger q together, which have few multiples per block. What
-    is left of each value after dividing out its factored part is 1 or its one
-    prime factor above sqrt(hi).
-    """
+    """Exact totients over [lo, hi) by prime-power sieving (see _BlockSieve)."""
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
     if hi > MAX_SIEVE_VALUE:
         raise RangeTooLarge(f"sieve values are capped at 2**40, got {hi}")
     if hi - lo > segment_size:
         raise RangeTooLarge(f"segment of {hi - lo} exceeds the size limit {segment_size}")
-    phi = np.ones(hi - lo, dtype=np.int64)
-    factored = np.empty(min(hi - lo, _BLOCK_VALUES), dtype=np.int64)
-    q, factor, p = _prime_powers(hi)
-    dense = q < _DENSE_STRIDE
-    strided = list(zip(q[dense].tolist(), factor[dense].tolist(), p[dense].tolist()))
-    q, factor, p = q[~dense], factor[~dense], p[~dense]
-    for start in range(lo, hi, _BLOCK_VALUES):
-        size = min(_BLOCK_VALUES, hi - start)
-        block, part = phi[start - lo : start - lo + size], factored[:size]
-        part.fill(1)
-        for qd, fd, pd in strided:
-            first = -start % qd
-            block[first::qd] *= fd
-            part[first::qd] *= pd
-        # the multiples of the sparse q, all at once: the j-th multiple of
-        # q[i] in the block is at first[i] + j*q[i]
-        first = -start % q
-        count = (size - first + q - 1) // q
-        row = np.repeat(np.arange(q.size), count)
-        at = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-        at *= q[row]
-        at += first[row]
-        np.multiply.at(block, at, factor[row])
-        np.multiply.at(part, at, p[row])
-        rest = np.arange(start, start + size, dtype=np.int64)
-        rest //= part
-        rest -= 1
-        np.maximum(rest, 1, out=rest)  # totient factor of the leftover prime, or 1
-        block *= rest
+    phi = np.empty(hi - lo, dtype=np.int64)
+    _BlockSieve(hi, hi - lo).into(lo, phi)
     return TotientSegment(lo, hi, phi)
 
 
@@ -131,9 +154,9 @@ def totients_upto(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarra
         raise RangeTooLarge(f"dense totient table of {n} values exceeds the memory cap")
     out = np.zeros(n + 1, dtype=np.int64)
     step = min(segment_size, _BLOCK_VALUES)
+    sieve = _BlockSieve(n + 1, step)
     for lo in range(1, n + 1, step):
-        hi = min(lo + step, n + 1)
-        out[lo:hi] = sieve_totient(lo, hi, step).values
+        sieve.into(lo, out[lo : min(lo + step, n + 1)])
     return out
 
 
@@ -158,17 +181,23 @@ def enumerate_solutions(k: int, M: int, limit: int) -> EnumerationReport:
         raise RangeTooLarge("k + limit beyond the sieve range")
     hits: list[int] = []
     step = min(DEFAULT_SEGMENT_SIZE, _BLOCK_VALUES)
+    sieve = _BlockSieve(limit + k + 1, step + k)
+    # one window of step + k cells, or two of step when they cannot overlap
+    cells = np.empty(step + k if k < step else 2 * step, dtype=np.int64)
+    target = np.empty(step, dtype=np.int64)
     for lo in range(1, limit + 1, step):
-        hi = min(lo + step, limit + 1)
-        size = hi - lo
+        size = min(step, limit + 1 - lo)
         if k < size:
-            # [lo, hi) and [lo+k, hi+k) overlap: sieve their union once
-            phi = sieve_totient(lo, hi + k, size + k).values
+            # [lo, lo+size) and [lo+k, lo+size+k) overlap: sieve their union once
+            phi = cells[: size + k]
+            sieve.into(lo, phi)
             phi_n, phi_nk = phi[:size], phi[k:]
         else:
-            phi_n = sieve_totient(lo, hi).values
-            phi_nk = sieve_totient(lo + k, hi + k).values
-        hits.extend((np.flatnonzero(phi_nk == M * phi_n) + lo).tolist())
+            phi_n, phi_nk = cells[:size], cells[step : step + size]
+            sieve.into(lo, phi_n)
+            sieve.into(lo + k, phi_nk)
+        np.multiply(phi_n, M, out=target[:size])
+        hits.extend((np.flatnonzero(phi_nk == target[:size]) + lo).tolist())
     return EnumerationReport(k, M, limit, tuple(hits))
 
 

@@ -7,7 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totient_forge import arith, primality
 from totient_forge.arith import (
+    DEFAULT_FACTORING_BOUND,
     FactoringBoundExceeded,
     Factorization,
     FermatNumber,
@@ -119,6 +121,61 @@ class TestFactorize:
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
+    def test_bound_above_cap_rejected(self):
+        # numpy trial division needs every blind input below 2**63
+        assert factorize(12, bound=DEFAULT_FACTORING_BOUND).value == 12
+        with pytest.raises(ValueError):
+            factorize(12, bound=10**19)
+
+    # the table walk, the first pass with a prime or 1 left, a cofactor
+    # tested once, and the 10**6 pass plus rho
+    @pytest.mark.parametrize("lo, hi, count", [
+        (1, 1009**2, 3000),
+        (1009**2, 10**8, 1000),
+        (10**8, 10**12, 300),
+        (10**12, 10**18 + 1, 100),
+    ])
+    def test_matches_sympy_per_class(self, lo, hi, count):
+        rng = random.Random(lo)
+        for n in [lo, hi - 1] + [rng.randrange(lo, hi) for _ in range(count)]:
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+    @pytest.mark.parametrize("n", [
+        1_000_003 * 1_000_033,            # p*q, 10**6 < p <= q
+        999_999_937 * 1_000_000_007,      # the same just below 10**18
+        (10**6 + 3) ** 2,
+        100_000_007,                      # first primes above 10**8, 10**12
+        1_000_000_000_039,
+        2**59,
+        9973 * 999_983,                   # p <= 10**4 < q <= 10**6
+        9973 * 999_983 * 1_000_003,
+        1009**2 - 1, 1009**2, 1009 * 1013,
+        2**40 * 3**10,
+        10**18,
+    ])
+    def test_edge_cases_match_sympy(self, n):
+        assert dict(factorize(n).factors) == sympy.factorint(n)
+
+    @pytest.mark.parametrize("n", [
+        100_000_000_000_000_003,          # a prime near 10**17
+        2 * 3 * 1_000_000_000_039,        # a prime cofactor above 10**12
+        1_000_003 * 1_000_033,
+        7 * 1_000_003 * 999_999_937,      # composite after the 10**6 pass
+        999_999_937 * 1_000_000_007,
+        (10**6 + 3) ** 2,
+        100_000_007,
+    ])
+    def test_tests_each_cofactor_once(self, n, monkeypatch):
+        tested = []
+
+        def counting(m):
+            tested.append(m)
+            return primality.is_probable_prime(m)
+
+        monkeypatch.setattr(arith, "is_probable_prime", counting)
+        assert dict(factorize(n).factors) == sympy.factorint(n)
+        assert len(tested) == len(set(tested)), tested
+
 
 class TestTotient:
     @pytest.mark.parametrize("n,expected", [(1, 1), (10, 4), (65537, 65536)])
@@ -185,6 +242,19 @@ class TestFactorization:
         again = Factorization.parse(str(f))
         assert again == f
         assert again.value == math.prod(p**e for p, e in pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 11, 641, 65537)), st.integers(0, 3)),
+                       max_size=5),
+        p=st.sampled_from((2, 3, 5, 7, 11, 13, 641, 65537, 2**89 - 1)),
+        e=st.integers(0, 3),
+    )
+    def test_times_prime_matches_from_pairs(self, pairs, p, e):
+        f = Factorization.from_pairs(pairs)
+        assert f.times_prime(p, e) == Factorization.from_pairs(f.factors + ((p, e),))
+        with pytest.raises(ValueError):
+            f.times_prime(p, -1)
 
     def test_parse_rejects_composite(self):
         with pytest.raises(ValueError):

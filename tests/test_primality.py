@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -53,8 +54,22 @@ class TestIsPrimeSmall:
         assert _mr_composite(n, v.witness, d >> s, s)
 
     def test_exhaustive_small_against_sympy(self):
-        for n in range(0, 100_000):
-            assert is_prime_small(n).is_prime == sympy.isprime(n), n
+        # every n below 1009**2, where the verdict is a table lookup: primes
+        # from sympy, and the witness of a composite is its smallest prime,
+        # found by an ascending pass over the primes <= 997
+        limit = primality._TRIAL_PROVEN_LIMIT
+        is_prime = np.zeros(limit, dtype=bool)
+        is_prime[list(sympy.primerange(limit))] = True
+        smallest = np.zeros(limit, dtype=np.int64)
+        for p in sympy.primerange(998):
+            cells = smallest[2 * p :: p]
+            cells[cells == 0] = p
+        verdicts = [is_prime_small(n) for n in range(limit)]
+        got_prime = np.array([v.is_prime for v in verdicts])
+        got_witness = np.array([v.witness or 0 for v in verdicts])
+        assert not np.flatnonzero(got_prime != is_prime).tolist()
+        assert not np.flatnonzero(got_witness != smallest).tolist()
+        assert all(v.witness is None for v in verdicts if v.is_prime)
 
     def test_random_word_size_against_sympy(self):
         rng = random.Random(31337)

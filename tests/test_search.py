@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from totient_forge import search
+from totient_forge import primality, search
 from totient_forge.primality import Verdict, presieve
 from totient_forge.search import (
     PAIR_WITNESS_TABLE,
@@ -71,6 +71,13 @@ class TestSearchPairR:
         res = search_pair_r(PairSearchTask(a=a, b=b, start=start), use_cache=False)
         assert res.r == brute_force_r(a, b, start)
         assert counts == blocks
+
+    def test_never_builds_the_small_prime_table(self, monkeypatch):
+        # candidates above 2**64 never reach the table below 1009**2
+        monkeypatch.setattr(primality, "_SPF", None)
+        res = search_pair_r(PairSearchTask(a=2, b=3, start=10**40), use_cache=False)
+        assert res.r >= 10**40
+        assert primality._SPF is None
 
     def test_limit_exhausted(self):
         with pytest.raises(LimitExhausted):

@@ -63,6 +63,14 @@ def brute_force_terms(variant: SequenceVariant, bound: int) -> tuple[int, ...]:
         last = p
 
 
+def capped_divisors(n: int, cap: int) -> list[int]:
+    """The divisors of n up to cap, built over sympy's factorization of n."""
+    divisors = [1]
+    for p, e in sympy.factorint(n).items():
+        divisors = [d * p**j for d in divisors for j in range(e + 1) if d * p**j <= cap]
+    return divisors
+
+
 @settings(max_examples=80, deadline=None)
 @given(variant=st.sampled_from(SequenceVariant), bound=st.integers(2, 3000))
 @example(variant=SequenceVariant.NEW_BRANCH7, bound=3000)
@@ -116,7 +124,8 @@ class TestCompleteness:
     def test_hasanalizade_complete_to_2e5(self, cache_dir):
         seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
         product, last = seq.product, seq.terms[-1]
-        for d in sympy.divisors(product):  # p - 2 must divide the product
+        # p - 2 must divide the product, and p <= 2*10**5 needs d <= 2*10**5 - 2
+        for d in capped_divisors(product, 2 * 10**5 - 2):
             p = d + 2
             if last < p <= 2 * 10**5 and sympy.isprime(p):
                 assert not set(sympy.factorint(p - 1)) <= set(sympy.factorint(2 * product)), p

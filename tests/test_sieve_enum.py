@@ -75,6 +75,11 @@ class TestSieveTotient:
         for n in (1, 2, 96, 97, 720, 1000):
             assert t[n] == sympy.totient(n)
 
+    def test_totients_upto_shares_one_table(self):
+        # one prime-power table, built for 3000, serves every 64-value window
+        t = totients_upto(3000, segment_size=64)
+        assert t.tolist() == [0] + [int(sympy.totient(n)) for n in range(1, 3001)]
+
 
 class TestEnumerate:
     def test_k6_flagship(self):
@@ -115,13 +120,14 @@ class TestEnumerate:
     @pytest.mark.parametrize("k, sieved", [(6, 1000 + 16 * 6), (40, 1000 + 15 * 40 + 40), (64, 2000)])
     def test_sieves_overlapping_windows_once(self, monkeypatch, k, sieved):
         windows = []
+        sieve_into = sieve_enum._BlockSieve.into
 
-        def recording_sieve(lo, hi, *args):
-            windows.append(hi - lo)
-            return sieve_totient(lo, hi, *args)
+        def recording_sieve(self, lo, out):
+            windows.append(out.size)
+            return sieve_into(self, lo, out)
 
         monkeypatch.setattr(sieve_enum, "DEFAULT_SEGMENT_SIZE", 64)
-        monkeypatch.setattr(sieve_enum, "sieve_totient", recording_sieve)
+        monkeypatch.setattr(sieve_enum._BlockSieve, "into", recording_sieve)
         enumerate_solutions(k, 2, 1000)
         assert sum(windows) == sieved
 
