@@ -80,7 +80,23 @@ class Factorization:
         return result
 
     def times(self, other: "Factorization") -> "Factorization":
-        return Factorization.from_pairs(self.factors + other.factors)
+        mine, theirs = self.factors, other.factors
+        merged = []
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            p, e = mine[i]
+            q, f = theirs[j]
+            if p < q:
+                merged.append(mine[i])
+                i += 1
+            elif q < p:
+                merged.append(theirs[j])
+                j += 1
+            else:
+                merged.append((p, e + f))
+                i += 1
+                j += 1
+        return Factorization(tuple(merged) + mine[i:] + theirs[j:], self.value * other.value)
 
     def times_prime(self, p: int, e: int = 1) -> "Factorization":
         if e < 0:
@@ -97,13 +113,17 @@ class Factorization:
 
     def div_exact(self, other: "Factorization") -> "Factorization":
         """Quotient factorization; other must divide self exactly."""
-        exps = dict(self.factors)
-        for p, e in other.factors:
-            have = exps.get(p, 0)
-            if have < e:
+        theirs = dict(other.factors)
+        quotient = []
+        for p, e in self.factors:
+            e -= theirs.pop(p, 0)
+            if e < 0:
                 raise ValueError(f"{other.value} does not divide {self.value}")
-            exps[p] = have - e
-        return Factorization.from_pairs(exps.items())
+            if e:
+                quotient.append((p, e))
+        if theirs:  # a prime of other that self lacks
+            raise ValueError(f"{other.value} does not divide {self.value}")
+        return Factorization(tuple(quotient), self.value // other.value)
 
     def validate(self, deep: bool = False) -> None:
         """Check structural invariants; with deep=True re-test primality."""

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Commands: solve, enumerate, sequence, search-r, verify-claims, totient,
-factor. All numbers cross the boundary as decimal strings. Exit codes:
-0 success, 1 claim/verification failure, 2 usage error.
+Commands: solve, enumerate, count, sequence, search-r, verify-claims,
+totient, factor. All numbers cross the boundary as decimal strings. Exit
+codes: 0 success, 1 claim/verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .search import LimitExhausted, PairSearchTask, Parity, search_pair_r
 from .sequences import SequenceVariant, generate_sequence, sequence_product_magnitude
-from .sieve_enum import RangeTooLarge, enumerate_solutions
+from .sieve_enum import RangeTooLarge, enumerate_solutions, solution_count_table
 
 USAGE_ERROR = 2
 
@@ -64,6 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustive solutions n <= max (sieve oracle)")
     p.add_argument("--k", type=_positive_decimal, required=True)
+    p.add_argument("--M", type=int, choices=(1, 2), required=True)
+    p.add_argument("--max", type=_positive_decimal, required=True)
+
+    p = sub.add_parser("count", help="solution counts n <= max for every k <= k-max (sieve oracle)")
+    p.add_argument("--k-max", type=_positive_decimal, required=True)
     p.add_argument("--M", type=int, choices=(1, 2), required=True)
     p.add_argument("--max", type=_positive_decimal, required=True)
 
@@ -142,6 +147,21 @@ def cmd_enumerate(args, cfg: Config) -> int:
     else:
         # CSV is the report's canonical serialization; "text" emits it too
         sys.stdout.write(report.to_csv())
+    return 0
+
+
+def cmd_count(args, cfg: Config) -> int:
+    table = solution_count_table(args.k_max, args.M, args.max)
+    if args.format == "json":
+        print(json.dumps({
+            "k_max": str(table.k_max), "M": table.M, "limit": str(table.limit),
+            "counts": {str(k): c for k, c in table.counts.items()},
+            "min_count": table.min_count,
+            "min_achievers": [str(k) for k in table.min_achievers],
+        }, sort_keys=True, indent=2))
+    else:
+        # CSV is the table's canonical serialization; "text" emits it too
+        sys.stdout.write(table.to_csv())
     return 0
 
 
@@ -246,6 +266,7 @@ def cmd_factor(args, cfg: Config) -> int:
 _COMMANDS = {
     "solve": cmd_solve,
     "enumerate": cmd_enumerate,
+    "count": cmd_count,
     "sequence": cmd_sequence,
     "search-r": cmd_search_r,
     "verify-claims": cmd_verify_claims,

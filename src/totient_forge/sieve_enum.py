@@ -14,12 +14,24 @@ block.
 
 `enumerate_solutions` sieves each segment [lo, hi) together with its shifted
 copy [lo+k, hi+k) as one window [lo, hi+k) when the two overlap (k < hi-lo),
-so each value is sieved once. `solution_count_table` makes no per-k pass: it
-sorts the keys (phi(m) << s) | m for 2 <= m <= limit+k_max, finds for each n
-the run of keys between (M*phi(n) << s) | (n+1) and (M*phi(n) << s) | (n+k_max)
-with two binary searches, and tallies m-n over the matches. The packing is
-exact because every m is below 2**s and M*phi(m) << s < 2 * 2**27 * 2**27 =
-2**55 < 2**63 at the dense cap of 2**27 values (s = 27).
+so each value is sieved once.
+
+`solution_count_table` makes no per-k pass and keeps one array. It turns the
+dense totient table in place into the keys (phi(m) << s) | m, 1 <= m <=
+limit+k_max, and sorts them. A pair (n, m = n+k) is a key in the run from
+(M*phi(n) << s) | (n+1) to (M*phi(n) << s) | (n+k_max). The map (phi(n), n) ->
+(M*phi(n), n+k_max) preserves order, so the keys of the n <= limit, taken in
+sorted order and pushed through it, give the run ends already sorted: no
+second array and no second sort. The sorted keys are walked in _BLOCK_VALUES
+blocks. A block's runs lie in one contiguous key window, between its first
+run start and its last run end, so the binary searches stay inside it. Its
+matches are expanded and tallied at most _BLOCK_VALUES at a time (plus the
+rest of one run, at most k_max), so besides the keys, memory holds a few
+arrays of that size whatever the number of pairs. The pairs crowd into the
+first blocks, the n with small phi(n): at C7 the first block holds 553,149
+of the 1,263,094 pairs. The packing is exact because every m is below 2**s
+and M*phi(m) << s < 2 * 2**27 * 2**27 = 2**55 < 2**63 at the dense cap of
+2**27 values (s = 27).
 """
 
 from __future__ import annotations
@@ -46,7 +58,8 @@ __all__ = [
 MAX_SIEVE_VALUE = 1 << 40
 DEFAULT_SEGMENT_SIZE = 1 << 22
 _MAX_DENSE_VALUES = 1 << 27  # ~1 GiB of int64 cells for dense helpers
-# values sieved per pass over the prime powers (see the module docstring)
+# values sieved per pass over the prime powers, and keys per count-table
+# block (see the module docstring)
 _BLOCK_VALUES = 1 << 16
 # prime powers below this are sieved by strided slices, the rest scattered
 _DENSE_STRIDE = 64
@@ -218,35 +231,56 @@ class CountTable:
 
 def solution_count_table(k_max: int, M: int, limit: int) -> CountTable:
     """Solution counts (n <= limit) for every k <= k_max, plus the minimum set."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    phi = totients_upto(limit + k_max)
+    if k_max < 1 or M not in (1, 2) or limit < 1:
+        raise ValueError("need k_max >= 1, M in {1, 2}, limit >= 1")
+    values = limit + k_max
     mask = (1 << _KEY_SHIFT) - 1
-    keys = phi[2:] << _KEY_SHIFT
-    keys |= np.arange(2, limit + k_max + 1, dtype=np.int64)
+    # keys[i] = (phi(m) << _KEY_SHIFT) | m for m = i + 1, built in the sieve's
+    # own output; the key of m = 1 is n = 1's source but never a match, since
+    # every run starts at n+1 >= 2
+    keys = totients_upto(values)[1:]
+    keys <<= _KEY_SHIFT
+    ramp = np.arange(1, _BLOCK_VALUES + 1, dtype=np.int64)
+    for lo in range(0, values, _BLOCK_VALUES):
+        block = keys[lo : lo + _BLOCK_VALUES]
+        block |= ramp[: block.size]
+        ramp += _BLOCK_VALUES
     keys.sort()
-    # n's run starts at (M*phi(n) << _KEY_SHIFT) | (n+1) and ends at
-    # high = (M*phi(n) << _KEY_SHIFT) | (n+k_max); sorting the highs lets the
-    # searches sweep keys in order
-    high = phi[1 : limit + 1] * M
-    high <<= _KEY_SHIFT
-    high |= np.arange(1 + k_max, limit + k_max + 1, dtype=np.int64)
-    high.sort()
-    first = np.searchsorted(keys, high - (k_max - 1), side="left")
-    runs = np.searchsorted(keys, high, side="right")
-    runs -= first
-    # expand the runs: the i-th match overall sits at keys[i + shift]
-    shift = np.cumsum(runs)
-    shift -= runs
-    np.subtract(first, shift, out=shift)
-    hit = np.repeat(shift, runs)
-    hit += np.arange(hit.size)
-    gaps = keys[hit]  # m of each match
-    gaps &= mask
-    high &= mask
-    high -= k_max  # n of each run
-    gaps -= np.repeat(high, runs)
-    tally = np.bincount(gaps, minlength=k_max + 1)
+    tally = np.zeros(k_max + 1, dtype=np.int64)
+    for lo in range(0, values, _BLOCK_VALUES):
+        block = keys[lo : lo + _BLOCK_VALUES]
+        sources = block[(block & mask) <= limit]
+        if not sources.size:
+            continue
+        n = sources & mask
+        # n's run ends at (M*phi(n) << _KEY_SHIFT) | (n+k_max); the map is
+        # monotone in the key, so these ends ascend like the sources
+        ends = sources >> _KEY_SHIFT
+        ends *= M
+        ends <<= _KEY_SHIFT
+        ends |= n + k_max
+        starts = ends - (k_max - 1)  # (M*phi(n) << _KEY_SHIFT) | (n+1)
+        begin = np.searchsorted(keys, starts[0], side="left")
+        window = keys[begin : np.searchsorted(keys, ends[-1], side="right")]
+        first = np.searchsorted(window, starts, side="left")
+        runs = np.searchsorted(window, ends, side="right")
+        runs -= first
+        # the i-th match of the block sits at window[i + shift]; expand at
+        # most _BLOCK_VALUES matches at a time (plus the rest of one run)
+        done = np.cumsum(runs)
+        shift = first - done
+        shift += runs
+        cuts = np.searchsorted(done, np.arange(0, done[-1], _BLOCK_VALUES), side="right")
+        cuts = np.append(cuts, runs.size)
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            if a == b:
+                continue
+            hit = np.repeat(shift[a:b], runs[a:b])
+            hit += np.arange(done[a] - runs[a], done[b - 1])
+            gaps = window[hit]  # m of each match
+            gaps &= mask
+            gaps -= np.repeat(n[a:b], runs[a:b])
+            np.add.at(tally, gaps, 1)
     counts = {k: int(tally[k]) for k in range(1, k_max + 1)}
     min_count = min(counts.values())
     achievers = tuple(k for k in sorted(counts) if counts[k] == min_count)

@@ -256,6 +256,27 @@ class TestFactorization:
         with pytest.raises(ValueError):
             f.times_prime(p, -1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 11, 641, 65537)), st.integers(0, 3)),
+                   max_size=5),
+        b=st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 13, 641, 2**89 - 1)), st.integers(0, 3)),
+                   max_size=5),
+    )
+    def test_times_and_div_exact_match_from_pairs(self, a, b):
+        f, g = Factorization.from_pairs(a), Factorization.from_pairs(b)
+        product = Factorization.from_pairs(f.factors + g.factors)
+        assert f.times(g) == product == g.times(f)
+        assert product.div_exact(g) == f and product.div_exact(f) == g
+        quotient = dict(f.factors)
+        for p, e in g.factors:
+            quotient[p] = quotient.get(p, 0) - e
+        if min(quotient.values(), default=0) < 0:
+            with pytest.raises(ValueError):
+                f.div_exact(g)
+        else:
+            assert f.div_exact(g) == Factorization.from_pairs(quotient.items())
+
     def test_parse_rejects_composite(self):
         with pytest.raises(ValueError):
             Factorization.parse("4 * 3")

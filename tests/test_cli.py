@@ -3,6 +3,7 @@ import json
 import pytest
 
 from totient_forge.cli import main
+from totient_forge.sieve_enum import solution_count_table
 
 
 def run(capsys, argv):
@@ -92,6 +93,48 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[:2] == ["k,M,limit", "6,2,1000000"]
         assert out.splitlines()[2:] == ["4", "6", "7", "10"]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_count_csv(self, capsys, cache_dir, fmt):
+        code, out = run(capsys, [
+            "--cache-dir", str(cache_dir), "--format", fmt,
+            "count", "--k-max", "3", "--M", "1", "--max", "10",
+        ])
+        assert code == 0
+        assert out == solution_count_table(3, 1, 10).to_csv()
+        assert out.splitlines()[:2] == ["k,count", "1,2"]  # phi(n+1) = phi(n): n = 1, 3
+
+    def test_count_json(self, capsys, cache_dir):
+        code, out = run(capsys, [
+            "--cache-dir", str(cache_dir), "--format", "json",
+            "count", "--k-max", "10", "--M", "2", "--max", "1000",
+        ])
+        assert code == 0
+        data = json.loads(out)
+        table = solution_count_table(10, 2, 1000)
+        assert data["counts"] == {str(k): c for k, c in table.counts.items()}
+        assert (data["k_max"], data["M"], data["limit"]) == ("10", 2, "1000")
+        assert data["min_count"] == table.min_count
+        assert data["min_achievers"] == [str(k) for k in table.min_achievers]
+
+    @pytest.mark.parametrize("argv", [
+        ["--k-max", "5", "--M", "3", "--max", "100"],
+        ["--k-max", "0", "--M", "2", "--max", "100"],
+        ["--k-max", "5", "--M", "2", "--max", "0"],
+    ])
+    def test_count_invalid_input_usage_error(self, cache_dir, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", str(cache_dir), "count"] + argv)
+        assert exc.value.code == 2
+
+    def test_count_range_too_large_usage_error(self, capsys, cache_dir):
+        # k_max + max is past the dense table's 2**27-value cap
+        code = main([
+            "--cache-dir", str(cache_dir), "count", "--k-max", "1", "--M", "2",
+            "--max", str(2**27),
+        ])
+        assert code == 2
+        assert "memory cap" in capsys.readouterr().err
 
     def test_sequence(self, capsys, cache_dir):
         code, out = run(capsys, [

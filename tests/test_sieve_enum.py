@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,6 +157,24 @@ class TestCountTable:
         assert lines[0] == "k,count"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("k_max, M, limit", [(0, 2, 100), (5, 3, 100), (5, 0, 100), (5, 2, 0)])
+    def test_validation(self, k_max, M, limit):
+        with pytest.raises(ValueError, match=r"need k_max >= 1, M in \{1, 2\}, limit >= 1"):
+            solution_count_table(k_max, M, limit)
+
+    def test_traced_peak_is_a_few_keys_arrays(self):
+        # the keys (one int64 per value) and a few block-sized arrays, not
+        # arrays that grow with the 1.26 M pairs
+        k_max, limit = 10**4, 10**6
+        tracemalloc.start()
+        try:
+            table = solution_count_table(k_max, 2, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (table.min_count, table.min_achievers) == (4, (6,))
+        assert peak < 4 * 8 * (limit + k_max)
+
 
 def _per_k_counts(k_max, M, limit):
     phi = totients_upto(limit + k_max)
@@ -165,14 +185,29 @@ def _per_k_counts(k_max, M, limit):
     }
 
 
-@settings(max_examples=80, deadline=None)
-@given(k_max=st.integers(1, 300), M=st.sampled_from((1, 2)), limit=st.integers(1, 3000))
-@example(k_max=300, M=2, limit=40)
-@example(k_max=2, M=1, limit=1)
-def test_count_table_matches_per_k_reference(k_max, M, limit):
+def _check_count_table(k_max, M, limit):
     table = solution_count_table(k_max, M, limit)
     counts = _per_k_counts(k_max, M, limit)
     low = min(counts.values())
     assert table.counts == counts
     assert table.min_count == low
     assert table.min_achievers == tuple(k for k in sorted(counts) if counts[k] == low)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_max=st.integers(1, 300), M=st.sampled_from((1, 2)), limit=st.integers(1, 3000))
+@example(k_max=300, M=2, limit=40)
+@example(k_max=2, M=1, limit=1)
+def test_count_table_matches_per_k_reference(k_max, M, limit):
+    _check_count_table(k_max, M, limit)
+
+
+# 64-key blocks: runs and key windows cross block edges, and a block can hold
+# no n <= limit at all
+@settings(max_examples=80, deadline=None)
+@given(k_max=st.integers(1, 300), M=st.sampled_from((1, 2)), limit=st.integers(1, 3000))
+@example(k_max=300, M=2, limit=3000)
+@example(k_max=300, M=1, limit=40)
+def test_count_table_small_blocks_match_per_k_reference(k_max, M, limit):
+    with mock.patch.object(sieve_enum, "_BLOCK_VALUES", 64):
+        _check_count_table(k_max, M, limit)
