@@ -1,0 +1,55 @@
+"""Digests of `solve` output, for showing that a refactor keeps every answer.
+
+    PYTHONPATH=src python scripts/solve_digest.py
+
+Prints two sha256 digests, each over one line per solution,
+`serialize_solution(s) + "|" + str(s.nk_factorization)`:
+
+- sweep: solve(k, M, with_witness_search=w) for k in range(1, 4001) and the
+  solve-sweep pool (perfbench/inputs.solve_ks), M in {1, 2}, w in
+  {False, True};
+- branch: solve(k, 2) for every multiple of 330 below 3 * 10**6, the k the
+  even-k dispatch spreads over all five of its branches.
+
+Run it on two checkouts: equal digests mean equal solutions, methods,
+witnesses and factorizations. It takes a few seconds and uses a throwaway
+cache directory; it is kept out of the test suite.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.inputs import solve_ks  # noqa: E402
+from totient_forge.constructions import serialize_solution, solve  # noqa: E402
+
+
+def digest(calls, cache_dir) -> tuple[int, str]:
+    """(lines, sha256) over every solution of solve(*call) in call order."""
+    h = hashlib.sha256()
+    lines = 0
+    for k, M, w in calls:
+        for s in solve(k, M, with_witness_search=w, cache_dir=cache_dir):
+            h.update(f"{serialize_solution(s)}|{s.nk_factorization}\n".encode())
+            lines += 1
+    return lines, h.hexdigest()
+
+
+def main() -> int:
+    ks = sorted(set(range(1, 4001)) | set(solve_ks(0)))
+    sweep = [(k, M, w) for k in ks for M in (1, 2) for w in (False, True)]
+    branch = [(k, 2, False) for k in range(330, 3 * 10**6, 330)]
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for name, calls in (("sweep", sweep), ("branch", branch)):
+            lines, hexdigest = digest(calls, cache_dir)
+            print(f"{name}: {lines} lines, sha256 {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

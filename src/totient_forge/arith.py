@@ -25,7 +25,6 @@ __all__ = [
     "Factorization",
     "FermatNumber",
     "factorize",
-    "factorization_of_divisor",
     "gcd",
     "iter_divisors",
     "radical",
@@ -43,7 +42,7 @@ _TRIAL_DIVISION_LIMIT = 10**6
 
 
 class FactoringBoundExceeded(ValueError):
-    """Raised when blind factoring is requested above the configured bound."""
+    """Raised when blind factoring is requested above DEFAULT_FACTORING_BOUND."""
 
 
 @dataclass(frozen=True)
@@ -111,19 +110,21 @@ class Factorization:
             factors = factors[:i] + ((p, e),) + factors[i:]
         return Factorization(factors, self.value * p**e)
 
-    def div_exact(self, other: "Factorization") -> "Factorization":
-        """Quotient factorization; other must divide self exactly."""
-        theirs = dict(other.factors)
+    def div_exact(self, d: int) -> "Factorization":
+        """Factorization of value // d; d must divide the value exactly."""
+        if d == 1:
+            return self
+        if d < 1 or self.value % d:
+            raise ValueError(f"{d} does not divide {self.value}")
         quotient = []
+        rem = d
         for p, e in self.factors:
-            e -= theirs.pop(p, 0)
-            if e < 0:
-                raise ValueError(f"{other.value} does not divide {self.value}")
+            while rem % p == 0:  # at most e times, since d divides the value
+                rem //= p
+                e -= 1
             if e:
                 quotient.append((p, e))
-        if theirs:  # a prime of other that self lacks
-            raise ValueError(f"{other.value} does not divide {self.value}")
-        return Factorization(tuple(quotient), self.value // other.value)
+        return Factorization(tuple(quotient), self.value // d)
 
     def validate(self, deep: bool = False) -> None:
         """Check structural invariants; with deep=True re-test primality."""
@@ -224,32 +225,27 @@ def _factor_into(n: int, out: dict[int, int], rng: random.Random, composite: boo
     _factor_into(n // d, out, rng)
 
 
-def factorize(
-    n: int,
-    hint: Factorization | None = None,
-    bound: int = DEFAULT_FACTORING_BOUND,
-) -> Factorization:
+def factorize(n: int, hint: Factorization | None = None) -> Factorization:
     """Exact factorization of n >= 1.
 
     Below 1009**2, a walk through the smallest-prime-factor table. Above, one
     vectorised division by the primes <= 10**4; a cofactor left at 10**8 or
     more is tested for primality once, and a composite one is cleared of the
-    primes <= 10**6 and split by Pollard rho (Brent). Above `bound` (at most
-    DEFAULT_FACTORING_BOUND) a caller-supplied factorization is mandatory and
+    primes <= 10**6 and split by Pollard rho (Brent). Above
+    DEFAULT_FACTORING_BOUND a caller-supplied factorization is mandatory and
     is verified before being trusted.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    if bound > DEFAULT_FACTORING_BOUND:
-        raise ValueError(f"factoring bound {bound} exceeds {DEFAULT_FACTORING_BOUND}")
     if hint is not None:
         if hint.value != n:
             raise ValueError("factorization hint does not match the value")
         hint.validate(deep=True)
         return hint
-    if n > bound:
+    if n > DEFAULT_FACTORING_BOUND:
         raise FactoringBoundExceeded(
-            f"{n} exceeds the factoring bound {bound}; pass a factorization hint"
+            f"{n} exceeds the factoring bound {DEFAULT_FACTORING_BOUND}; "
+            "pass a factorization hint"
         )
     exps: dict[int, int] = {}
     rem = n
@@ -269,24 +265,6 @@ def factorize(
         exps[p] = exps.get(p, 0) + 1
         rem //= p
     return Factorization.from_pairs(exps.items())
-
-
-def factorization_of_divisor(d: int, f: Factorization) -> Factorization:
-    """Factorization of d, derived from a factorization of a multiple of d."""
-    if d < 1:
-        raise ValueError("divisor must be >= 1")
-    pairs = []
-    rem = d
-    for p, _ in f.factors:
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        if e:
-            pairs.append((p, e))
-    if rem != 1:
-        raise ValueError(f"{d} does not divide {f.value}")
-    return Factorization.from_pairs(pairs)
 
 
 def iter_divisors(f: Factorization, limit: int | None = None):

@@ -2,7 +2,9 @@
 
 Every constructor derives the factorizations of n and n+k symbolically from
 the factorization of k and the witness data, evaluates both totients exactly,
-and only then returns a Solution. Nothing is ever reported unverified.
+and only then returns a Solution. Nothing is ever reported unverified. All
+families but the GHP witnesses give n = num*k/den and n+k = (num+den)*k/den,
+built and certified by one builder, _ratio.
 
 k's factorization is certified once, at the public entry point (solve,
 solve_even_m2 or a construct_* function); the private builders behind them
@@ -25,13 +27,7 @@ from enum import Enum
 from math import gcd
 from pathlib import Path
 
-from .arith import (
-    Factorization,
-    factorization_of_divisor,
-    factorize,
-    iter_divisors,
-    star_divides,
-)
+from .arith import Factorization, factorize, iter_divisors, star_divides
 from .primality import is_probable_prime
 from .search import LimitExhausted, PairSearchTask, Parity, search_pair_r
 from .sequences import PrimeSequence, SequenceVariant, generate_sequence
@@ -212,6 +208,25 @@ def _certify(k, M, n, method: Method, witness, fact_n, fact_nk,
                     fact_n, fact_nk)
 
 
+def _ratio(k, kf, M, num_f, den, sum_f, method: Method, witness,
+           error=InvalidWitness) -> Solution:
+    """Certified n = num*k/den with n+k = (num+den)*k/den, from factorizations
+    num_f of num and sum_f of num+den."""
+    if k % den:
+        raise error(f"{den} does not divide k={k}")
+    base = kf.div_exact(den)
+    return _certify(k, M, num_f.value * k // den, method, witness,
+                    base.times(num_f), base.times(sum_f), error)
+
+
+def _prime(p: int) -> Factorization:
+    """The factorization of a number already known to be prime."""
+    return Factorization(((p, 1),), p)
+
+
+_ONE = Factorization((), 1)
+
+
 # ---------------------------------------------------------------------------
 # Makowski's solutions
 
@@ -225,15 +240,22 @@ def construct_makowski(k: int, M: int, k_fact: Factorization | None = None) -> S
 
 def _makowski(k: int, kf: Factorization) -> Solution:
     if k % 2 == 0:
-        return _certify(k, 2, k, Method.MAKOWSKI, None, kf, kf.times_prime(2))
+        return _ratio(k, kf, 2, _ONE, 1, _prime(2), Method.MAKOWSKI, None)
     if k % 3 == 0:
         # phi(3k) = 3*phi(k) != 2*phi(2k) once 3 | k
         raise NotApplicable("odd k must be coprime to 3")
-    return _certify(k, 2, 2 * k, Method.MAKOWSKI, None, kf.times_prime(2), kf.times_prime(3))
+    return _ratio(k, kf, 2, _prime(2), 1, _prime(3), Method.MAKOWSKI, None)
 
 
 # ---------------------------------------------------------------------------
 # Fermat-prime constructions
+
+
+# (2^(2^m), 2^(2^m) + 1) for the five Fermat primes
+_FERMAT = tuple(
+    (Factorization(((2, 1 << m),), 1 << (1 << m)), _prime((1 << (1 << m)) + 1))
+    for m in range(5)
+)
 
 
 def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solution:
@@ -243,15 +265,12 @@ def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solutio
         raise NotApplicable("this construction requires odd k")
     if not 0 <= m <= 4:
         raise NotApplicable("only the five known Fermat primes (m = 0..4) apply")
-    two_pow = 1 << m  # value is 2^(2^m) + 1
-    fermat = (1 << two_pow) + 1
+    power_f, fermat_f = _FERMAT[m]
+    fermat = fermat_f.value
     if gcd(fermat, k) == 1:
         # case 1: n = 2^(2^m) * k
-        n = (fermat - 1) * k
-        fact_n = kf.times_prime(2, two_pow)
-        fact_nk = kf.times_prime(fermat)
-        return _certify(k, M, n, Method.FERMAT_CASE1, FermatWitness(m, 1), fact_n, fact_nk)
-    # case 2: F_m | k, n = (F_m - 1) * (F_m * r + 1) * k
+        return _ratio(k, kf, M, power_f, 1, fermat_f, Method.FERMAT_CASE1, FermatWitness(m, 1))
+    # case 2: F_m | k, n = (F_m - 1) * p2 * k and n+k = F_m * p1 * k
     if r is None:
         raise MissingWitness(f"2^(2^{m})+1 divides k; a witness r is required")
     if r < 1:
@@ -263,10 +282,8 @@ def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solutio
             raise InvalidWitness(f"{p} is not prime for witness r={r}")
         if k % p == 0:
             raise InvalidWitness(f"witness prime {p} divides k")
-    n = (fermat - 1) * p2 * k
-    fact_n = kf.times_prime(2, two_pow).times_prime(p2)
-    fact_nk = kf.times_prime(fermat).times_prime(p1)
-    return _certify(k, M, n, Method.FERMAT_CASE2, FermatWitness(m, 2, r), fact_n, fact_nk)
+    return _ratio(k, kf, M, power_f.times_prime(p2), 1, fermat_f.times_prime(p1),
+                  Method.FERMAT_CASE2, FermatWitness(m, 2, r))
 
 
 def construct_fermat_m1(k: int, m: int, r: int | None = None,
@@ -308,26 +325,17 @@ def _seq_solution(k: int, seq: PrimeSequence, kf: Factorization) -> Solution:
     if p is None:
         raise AllTermsDivideK(f"every term of {seq.variant.value} divides k={k}")
     if seq.variant is SequenceVariant.HASANALIZADE:
-        den = p - 2 if p > 2 else 1
-        witness = SeqWitness(seq.variant, index, p)
-        method = Method.SEQ_HASANALIZADE
-        if k % den or not star_divides(p - 1, 2 * k):
+        # p is odd (k is even): n = p*k/(p-2), n+k = 2(p-1)*k/(p-2)
+        if not star_divides(p - 1, 2 * k):
             raise InvalidWitness(f"term {p} does not govern k={k}")
-        den_f = factorization_of_divisor(den, kf)
-        fact_n = kf.div_exact(den_f).times_prime(p)
-        fact_nk = kf.div_exact(den_f).times(factorize(p - 1)).times_prime(2)
-        n = p * k // den
-    else:
-        a = (p - 1) // 2
-        witness = SeqWitness(seq.variant, index, p, a)
-        method = Method.SEQ_NEW
-        if a == 0 or k % (a + 1) or not star_divides(a, k):
-            raise InvalidWitness(f"term {p} does not govern k={k}")
-        den_f = factorization_of_divisor(a + 1, kf)
-        fact_n = kf.div_exact(den_f).times(factorize(a))
-        fact_nk = kf.div_exact(den_f).times_prime(p)
-        n = a * k // (a + 1)
-    return _certify(k, 2, n, method, witness, fact_n, fact_nk)
+        return _ratio(k, kf, 2, _prime(p), p - 2, factorize(p - 1).times_prime(2),
+                      Method.SEQ_HASANALIZADE, SeqWitness(seq.variant, index, p))
+    # p = 2a+1: n = a*k/(a+1), n+k = p*k/(a+1)
+    a = (p - 1) // 2
+    if a == 0 or not star_divides(a, k):
+        raise InvalidWitness(f"term {p} does not govern k={k}")
+    return _ratio(k, kf, 2, factorize(a), a + 1, _prime(p), Method.SEQ_NEW,
+                  SeqWitness(seq.variant, index, p, a))
 
 
 _SOLVE_SEQ_BOUND = 10**4
@@ -335,63 +343,41 @@ _HASANALIZADE_BOUND = 2 * 10**5
 
 
 def _ratio_solution(k: int, kf: Factorization, num: int, den: int) -> Solution:
-    """Verified n = num*k/den; num+den must carry the cancelled prime pair."""
-    if k % den:
-        raise BranchHypothesisUnmet(f"{den} does not divide k={k}")
-    den_f = factorization_of_divisor(den, kf)
-    fact_n = kf.div_exact(den_f).times(factorize(num))
-    fact_nk = kf.div_exact(den_f).times(factorize(num + den))
-    return _certify(k, 2, num * k // den, Method.SEQ_NEW, RatioWitness(num, den),
-                    fact_n, fact_nk, error=BranchHypothesisUnmet)
+    return _ratio(k, kf, 2, factorize(num), den, factorize(num + den), Method.SEQ_NEW,
+                  RatioWitness(num, den), error=BranchHypothesisUnmet)
 
 
 def solve_even_m2(k: int, k_fact: Factorization | None = None,
                   cache_dir: Path | str | None = None) -> list[Solution]:
     """The even-k branch dispatch for phi(n+k) = 2*phi(n).
 
-    Five branches keyed on divisibility of k by 2*3*5*11, 7, 13 and 23 choose
-    a sequence (or a fixed ratio), and Makowski's n = k is always added. The
-    ratio branches verify before returning and fall back to the base sequence
-    when their implicit hypotheses fail.
+    The branch follows from k's divisibility by 330 = 2*3*5*11, 7, 13, 19 and
+    23 and gives a sequence or a fixed-ratio solution; Makowski's n = k is
+    always added. With 330 | k, both ratios hold wherever they are chosen:
+    for 7, 13 not dividing k, n = 36j and n+k = 91j with j = k/55 and 6 | j,
+    so phi(91j) = 72 phi(j) = 2 phi(36j); for 13, 19 | k and 7, 23 not
+    dividing it, n = 66j and n+k = 161j with j = k/95 and 66 | j, so
+    phi(161j) = 132 phi(j) = 2 phi(66j). Without 19 the 66/95 ratio is not
+    an integer, and the base sequence is used.
     """
-    return _solve_even_m2(k, _k_fact(k, k_fact), cache_dir)
+    kf = _k_fact(k, k_fact)
+    return [_even_m2_branch(k, kf, cache_dir), _makowski(k, kf)]
 
 
-def _solve_even_m2(k: int, kf: Factorization, cache_dir) -> list[Solution]:
+def _even_m2_branch(k: int, kf: Factorization, cache_dir) -> Solution:
     if k % 2:
         raise NotApplicable("even k required")
-    solutions = []
-
-    def base_sequence_solution() -> Solution:
-        seq = generate_sequence(SequenceVariant.NEW_BASE, _SOLVE_SEQ_BOUND, cache_dir)
-        return _seq_solution(k, seq, kf)
-
-    if k % (2 * 3 * 5 * 11):
-        solutions.append(base_sequence_solution())
-    elif k % 7 == 0:
-        solutions.append(
-            _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH7, cache_dir)
-        )
-    elif k % 13:
-        try:
-            solutions.append(_ratio_solution(k, kf, 36, 55))
-        except BranchHypothesisUnmet as exc:
-            log.info("36/55 branch failed for k=%s (%s); using the base sequence", k, exc)
-            solutions.append(base_sequence_solution())
-    elif k % 23:
-        try:
-            solutions.append(_ratio_solution(k, kf, 66, 95))
-        except BranchHypothesisUnmet as exc:
-            # happens whenever 19 does not divide k; the stated hypotheses
-            # do not guarantee integrality, so fall through
-            log.info("66/95 branch failed for k=%s (%s); using the base sequence", k, exc)
-            solutions.append(base_sequence_solution())
-    else:
-        solutions.append(
-            _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH13_23, cache_dir)
-        )
-    solutions.append(_makowski(k, kf))
-    return solutions
+    if k % 330 == 0:
+        if k % 7 == 0:
+            return _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH7, cache_dir)
+        if k % 13:
+            return _ratio_solution(k, kf, 36, 55)
+        if k % 23 == 0:
+            return _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH13_23, cache_dir)
+        if k % 19 == 0:
+            return _ratio_solution(k, kf, 66, 95)
+    seq = generate_sequence(SequenceVariant.NEW_BASE, _SOLVE_SEQ_BOUND, cache_dir)
+    return _seq_solution(k, seq, kf)
 
 
 def _seq_solution_with_retry(k, kf, variant, cache_dir) -> Solution:
@@ -489,13 +475,8 @@ def _prop_double_prime(k: int, p: int, kf: Factorization) -> Solution:
         raise InvalidWitness(f"2p-1={2 * p - 1} is not prime")
     if gcd(p, k) != 1 or gcd(2 * p - 1, k) != 1:
         raise InvalidWitness("p and 2p-1 must be coprime to k")
-    if k % (p - 1):
-        raise InvalidWitness(f"p-1={p - 1} does not divide k")
-    den_f = factorization_of_divisor(p - 1, kf)
-    fact_n = kf.div_exact(den_f).times_prime(p)
-    fact_nk = kf.div_exact(den_f).times_prime(2 * p - 1)
-    return _certify(k, 2, p * k // (p - 1), Method.PROP_DOUBLE_PRIME, PropWitness(p=p),
-                    fact_n, fact_nk)
+    return _ratio(k, kf, 2, _prime(p), p - 1, _prime(2 * p - 1), Method.PROP_DOUBLE_PRIME,
+                  PropWitness(p=p))
 
 
 def construct_prop_phi_pair(k: int, m_param: int,
@@ -509,33 +490,27 @@ def _prop_phi_pair(k: int, m_param: int, kf: Factorization) -> Solution:
         raise NotApplicable("even k required")
     if m_param < 1:
         raise InvalidWitness("m must be >= 1")
-    if k % m_param:
-        raise InvalidWitness(f"m={m_param} does not divide k")
     if gcd(m_param + 2, k) != 1 or gcd(m_param + 4, k) != 1:
         raise InvalidWitness("m+2 and m+4 must be coprime to k")
     f_plus2 = factorize(m_param + 2)
     f_plus4 = factorize(m_param + 4)
     if f_plus2.totient() != f_plus4.totient():
         raise InvalidWitness(f"totient({m_param + 2}) != totient({m_param + 4})")
-    m_f = factorization_of_divisor(m_param, kf)
-    fact_n = kf.div_exact(m_f).times(f_plus4)
-    fact_nk = kf.div_exact(m_f).times(f_plus2).times_prime(2)
-    return _certify(k, 2, (m_param + 4) * k // m_param, Method.PROP_PHI_PAIR,
-                    PropWitness(m_param=m_param), fact_n, fact_nk)
+    return _ratio(k, kf, 2, f_plus4, m_param, f_plus2.times_prime(2), Method.PROP_PHI_PAIR,
+                  PropWitness(m_param=m_param))
 
 
 # ---------------------------------------------------------------------------
 # verification and orchestration
 
 
-def verify_solution(s: Solution, factoring_bound: int | None = None) -> bool:
+def verify_solution(s: Solution) -> bool:
     """Exactly evaluate totient(n+k) == M * totient(n).
 
     Uses the factorizations carried by the solution when they match its values
     and every listed factor re-tests prime, otherwise factors directly
-    (CannotVerify above the bound).
+    (CannotVerify above the factoring bound).
     """
-    kwargs = {} if factoring_bound is None else {"bound": factoring_bound}
 
     def fact_of(value: int, carried: Factorization | None) -> Factorization:
         if carried is not None and carried.value == value:
@@ -545,7 +520,7 @@ def verify_solution(s: Solution, factoring_bound: int | None = None) -> bool:
             except ValueError:
                 pass  # a listed factor is not prime: factor the value afresh
         try:
-            return factorize(value, **kwargs)
+            return factorize(value)
         except Exception as exc:
             raise CannotVerify(f"cannot factor {value}: {exc}") from exc
 
@@ -627,10 +602,8 @@ def solve(
             attempt(fermat_with_search, m)
         attempt(_makowski, k, kf)
     elif M == 2:
-        try:
-            found.extend(_solve_even_m2(k, kf, cache_dir))
-        except ConstructionError as exc:
-            log.warning("even-k dispatch failed for k=%s: %s", k, exc)
+        attempt(_even_m2_branch, k, kf, cache_dir)
+        attempt(_makowski, k, kf)
         seq = generate_sequence(SequenceVariant.HASANALIZADE, _HASANALIZADE_BOUND, cache_dir)
         attempt(_seq_solution, k, seq, kf)
     if with_witness_search and M == 2:

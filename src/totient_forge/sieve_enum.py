@@ -56,10 +56,10 @@ __all__ = [
 ]
 
 MAX_SIEVE_VALUE = 1 << 40
-DEFAULT_SEGMENT_SIZE = 1 << 22
+_MAX_WINDOW_VALUES = 1 << 22  # values per sieve_totient call
 _MAX_DENSE_VALUES = 1 << 27  # ~1 GiB of int64 cells for dense helpers
-# values sieved per pass over the prime powers, and keys per count-table
-# block (see the module docstring)
+# values sieved per pass over the prime powers, values per enumeration
+# segment, and keys per count-table block (see the module docstring)
 _BLOCK_VALUES = 1 << 16
 # prime powers below this are sieved by strided slices, the rest scattered
 _DENSE_STRIDE = 64
@@ -148,28 +148,25 @@ class _BlockSieve:
             np.multiply(phi[:size], rest, out=out[off : off + size])
 
 
-def sieve_totient(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> TotientSegment:
+def sieve_totient(lo: int, hi: int) -> TotientSegment:
     """Exact totients over [lo, hi) by prime-power sieving (see _BlockSieve)."""
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
     if hi > MAX_SIEVE_VALUE:
         raise RangeTooLarge(f"sieve values are capped at 2**40, got {hi}")
-    if hi - lo > segment_size:
-        raise RangeTooLarge(f"segment of {hi - lo} exceeds the size limit {segment_size}")
+    if hi - lo > _MAX_WINDOW_VALUES:
+        raise RangeTooLarge(f"segment of {hi - lo} exceeds the size limit {_MAX_WINDOW_VALUES}")
     phi = np.empty(hi - lo, dtype=np.int64)
     _BlockSieve(hi, hi - lo).into(lo, phi)
     return TotientSegment(lo, hi, phi)
 
 
-def totients_upto(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def totients_upto(n: int) -> np.ndarray:
     """Dense array t with t[i] = totient(i) for 1 <= i <= n (t[0] = 0)."""
     if n + 1 > _MAX_DENSE_VALUES:
         raise RangeTooLarge(f"dense totient table of {n} values exceeds the memory cap")
     out = np.zeros(n + 1, dtype=np.int64)
-    step = min(segment_size, _BLOCK_VALUES)
-    sieve = _BlockSieve(n + 1, step)
-    for lo in range(1, n + 1, step):
-        sieve.into(lo, out[lo : min(lo + step, n + 1)])
+    _BlockSieve(n + 1, _BLOCK_VALUES).into(1, out[1:])
     return out
 
 
@@ -193,7 +190,7 @@ def enumerate_solutions(k: int, M: int, limit: int) -> EnumerationReport:
     if limit + k + 1 > MAX_SIEVE_VALUE:
         raise RangeTooLarge("k + limit beyond the sieve range")
     hits: list[int] = []
-    step = min(DEFAULT_SEGMENT_SIZE, _BLOCK_VALUES)
+    step = _BLOCK_VALUES
     sieve = _BlockSieve(limit + k + 1, step + k)
     # one window of step + k cells, or two of step when they cannot overlap
     cells = np.empty(step + k if k < step else 2 * step, dtype=np.int64)

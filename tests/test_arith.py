@@ -13,7 +13,6 @@ from totient_forge.arith import (
     FactoringBoundExceeded,
     Factorization,
     FermatNumber,
-    factorization_of_divisor,
     factorize,
     gcd,
     iter_divisors,
@@ -104,6 +103,10 @@ class TestFactorize:
     def test_bound_enforced(self):
         with pytest.raises(FactoringBoundExceeded):
             factorize(10**19 + 7)
+        # the cap is inclusive: numpy trial division needs inputs below 2**63
+        assert factorize(DEFAULT_FACTORING_BOUND).value == DEFAULT_FACTORING_BOUND
+        with pytest.raises(FactoringBoundExceeded):
+            factorize(DEFAULT_FACTORING_BOUND + 1)
 
     def test_hint_above_bound(self):
         n = 2**101
@@ -120,12 +123,6 @@ class TestFactorize:
     def test_semiprime_needs_rho(self):
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
-
-    def test_bound_above_cap_rejected(self):
-        # numpy trial division needs every blind input below 2**63
-        assert factorize(12, bound=DEFAULT_FACTORING_BOUND).value == 12
-        with pytest.raises(ValueError):
-            factorize(12, bound=10**19)
 
     # the table walk, the first pass with a prime or 1 left, a cofactor
     # tested once, and the 10**6 pass plus rho
@@ -267,15 +264,15 @@ class TestFactorization:
         f, g = Factorization.from_pairs(a), Factorization.from_pairs(b)
         product = Factorization.from_pairs(f.factors + g.factors)
         assert f.times(g) == product == g.times(f)
-        assert product.div_exact(g) == f and product.div_exact(f) == g
+        assert product.div_exact(g.value) == f and product.div_exact(f.value) == g
         quotient = dict(f.factors)
         for p, e in g.factors:
             quotient[p] = quotient.get(p, 0) - e
         if min(quotient.values(), default=0) < 0:
             with pytest.raises(ValueError):
-                f.div_exact(g)
+                f.div_exact(g.value)
         else:
-            assert f.div_exact(g) == Factorization.from_pairs(quotient.items())
+            assert f.div_exact(g.value) == Factorization.from_pairs(quotient.items())
 
     def test_parse_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -283,9 +280,9 @@ class TestFactorization:
 
     def test_div_exact(self):
         f = factorize(720)
-        assert f.div_exact(factorize(6)).value == 120
+        assert f.div_exact(6).value == 120
         with pytest.raises(ValueError):
-            f.div_exact(factorize(7))
+            f.div_exact(7)
 
     def test_times(self):
         assert factorize(12).times(factorize(10)).value == 120
@@ -295,9 +292,9 @@ class TestFactorization:
         f = factorize(360)
         assert iter_divisors(f) == sorted(sympy.divisors(360))
         assert iter_divisors(f, limit=10) == [d for d in sympy.divisors(360) if d <= 10]
-        assert factorization_of_divisor(45, f).value == 45
+        assert f.div_exact(45) == factorize(8)
         with pytest.raises(ValueError):
-            factorization_of_divisor(7, f)
+            f.div_exact(7)
 
 
 class TestFermatNumber:

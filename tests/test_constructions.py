@@ -1,15 +1,19 @@
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totient_forge.arith import Factorization, v2
+from totient_forge.claims import EXPECTED_NEW_BRANCH13_23
 from totient_forge.constructions import (
     AllTermsDivideK,
     CannotVerify,
     InvalidWitness,
     MissingWitness,
     NotApplicable,
+    RatioWitness,
     Solution,
     construct_fermat_m1,
     construct_fermat_m2,
@@ -180,6 +184,28 @@ class TestSolveEvenM2:
         with pytest.raises(NotApplicable):
             solve_even_m2(3, cache_dir=cache_dir)
 
+    def test_dispatch_by_divisibility_up_to_1e6(self, cache_dir):
+        # every k = 330*j <= 10**6: the branch follows from 7, 13, 19 and 23
+        # alone, and the 36/55 and 66/95 ratios never fail where chosen
+        for k in range(330, 10**6 + 1, 330):
+            sols = solve_even_m2(k, cache_dir=cache_dir)
+            branch, makowski = sols
+            assert makowski.method == "Makowski" and makowski.n == k
+            if k % 7 and k % 13:
+                expected = RatioWitness(36, 55)
+            elif k % 7 and k % 23 and k % 19 == 0:
+                expected = RatioWitness(66, 95)
+            elif k % 7 == 0:
+                expected = SequenceVariant.NEW_BRANCH7
+            elif k % (13 * 23) == 0:
+                expected = SequenceVariant.NEW_BRANCH13_23
+            else:
+                expected = SequenceVariant.NEW_BASE
+            (witness,) = branch.witnesses
+            got = witness if isinstance(witness, RatioWitness) else witness.variant
+            assert got == expected, k
+            assert all(verify_solution(s) for s in sols), k
+
 
 class TestGhp:
     def test_m1(self):
@@ -267,7 +293,7 @@ class TestVerifySolution:
     def test_cannot_verify_above_bound(self):
         huge = 10**40 + 1
         with pytest.raises(CannotVerify):
-            verify_solution(Solution(2, 1, huge, "Enumerated"), factoring_bound=10**18)
+            verify_solution(Solution(2, 1, huge, "Enumerated"))
 
 
 class TestSolve:
@@ -339,6 +365,18 @@ class TestSolve:
         for s in sols:
             # verified through the certified factorizations, no blind factoring
             assert verify_solution(s) is True
+
+    def test_makowski_kept_when_branch_sequence_fails(self, cache_dir):
+        # every newbranch13_23 term divides k, so that branch raises; only the
+        # branch may be skipped, not Makowski's n = k with it
+        k = math.prod(EXPECTED_NEW_BRANCH13_23)
+        kf = Factorization.from_pairs((p, 1) for p in EXPECTED_NEW_BRANCH13_23)
+        with pytest.raises(AllTermsDivideK):
+            solve_even_m2(k, k_fact=kf, cache_dir=cache_dir)
+        sols = solve(k, 2, k_fact=kf, cache_dir=cache_dir)
+        assert construct_makowski(k, 2, kf) in sols
+        assert {s.method for s in sols} == {"Makowski", "SeqHasanalizade"}
+        assert all(verify_solution(s) for s in sols)
 
     def test_huge_k_case2_with_hint(self, cache_dir):
         k = 10**100

@@ -52,7 +52,7 @@ class TestSieveTotient:
         with pytest.raises(ValueError):
             sieve_totient(0, 10)
         with pytest.raises(RangeTooLarge):
-            sieve_totient(1, 2 + (1 << 22), segment_size=1 << 22)
+            sieve_totient(1, 2 + (1 << 22))
         with pytest.raises(RangeTooLarge):
             sieve_totient(MAX_SIEVE_VALUE, MAX_SIEVE_VALUE + 10)
 
@@ -72,14 +72,16 @@ class TestSieveTotient:
         seg = sieve_totient(lo, lo + 1000)
         assert seg.values.tolist() == [factorize(n).totient() for n in range(lo, lo + 1000)]
 
-    def test_totients_upto(self):
-        t = totients_upto(1000, segment_size=128)
+    def test_totients_upto(self, monkeypatch):
+        monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", 128)
+        t = totients_upto(1000)
         for n in (1, 2, 96, 97, 720, 1000):
             assert t[n] == sympy.totient(n)
 
-    def test_totients_upto_shares_one_table(self):
+    def test_totients_upto_shares_one_table(self, monkeypatch):
         # one prime-power table, built for 3000, serves every 64-value window
-        t = totients_upto(3000, segment_size=64)
+        monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", 64)
+        t = totients_upto(3000)
         assert t.tolist() == [0] + [int(sympy.totient(n)) for n in range(1, 3001)]
 
 
@@ -113,7 +115,7 @@ class TestEnumerate:
     # limit 1000 with 64-value segments: 15 full segments and a last one of 40
     @pytest.mark.parametrize("k", [1, 6, 39, 40, 41, 63, 64, 65, 200])
     def test_matches_naive_across_segments(self, monkeypatch, k):
-        monkeypatch.setattr(sieve_enum, "DEFAULT_SEGMENT_SIZE", 64)
+        monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", 64)
         phi = totients_upto(1000 + k)
         for M in (1, 2):
             expected = tuple(n for n in range(1, 1001) if phi[n + k] == M * phi[n])
@@ -128,7 +130,7 @@ class TestEnumerate:
             windows.append(out.size)
             return sieve_into(self, lo, out)
 
-        monkeypatch.setattr(sieve_enum, "DEFAULT_SEGMENT_SIZE", 64)
+        monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", 64)
         monkeypatch.setattr(sieve_enum._BlockSieve, "into", recording_sieve)
         enumerate_solutions(k, 2, 1000)
         assert sum(windows) == sieved
