@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import numpy as np
@@ -124,6 +126,18 @@ class TestIsProbablePrime:
         p = 2**107 - 1
         assert is_probable_prime(p * p).verdict is Verdict.COMPOSITE
 
+    @pytest.mark.parametrize("factors", [
+        (2,), (641,), (997,), (3, 997), (641, 997), (2, 641, 997),
+    ])
+    def test_small_factor_above_2_64_is_the_witness(self, factors):
+        # the smallest prime <= 997 dividing n is the witness, however many divide it
+        for big in (2**89 - 1, 2**107 - 1, 10**40 + 121):
+            n = math.prod(factors) * big
+            assert n > DETERMINISTIC_LIMIT
+            v = is_probable_prime(n)
+            assert v.verdict is Verdict.COMPOSITE
+            assert v.witness == min(factors), n
+
     def test_composite_witnesses_verify(self):
         rng = random.Random(5)
         for _ in range(500):
@@ -200,3 +214,60 @@ class TestPresieve:
     def test_segment_cap(self):
         with pytest.raises(ValueError):
             presieve(2, 3, 1, 2**20 + 1)
+
+    @pytest.mark.parametrize("a,b,start,step", [
+        (2, 3, 1, 0),
+        (2, 3, 1, -2),
+        (2, 3, 0, 1),
+        (2, 3, -5, 2),
+        (0, 3, 1, 1),
+        (-1, 3, 1, 1),
+        (3, 3, 1, 1),
+        (4, 3, 1, 1),
+    ])
+    def test_rejects_inputs_outside_the_domain(self, a, b, start, step):
+        # the same rules as PairSearchTask: 1 <= a < b, start >= 1, step >= 1
+        with pytest.raises(ValueError):
+            presieve(a, b, start, 5, step=step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.one_of(st.integers(1, 64), st.sampled_from((16, 256, 65536))),
+        gap=st.one_of(st.integers(1, 64), st.integers(1, 10**30)),
+        start=st.one_of(st.integers(1, 300), st.integers(1, 10**100)),
+        count=st.one_of(st.integers(0, 300), st.integers(0, 3000)),
+        step=st.sampled_from((1, 2, 3, 6)),
+        # 709 is the 127th prime and 719 the 128th, either side of the path choice
+        bound=st.sampled_from((3, 97, 709, 719, 5000, PRESIEVE_BOUND)),
+    )
+    @example(a=1, gap=1, start=1, count=3000, step=1, bound=5000)
+    @example(a=2, gap=1, start=1, count=1200, step=6, bound=719)
+    @example(a=16, gap=1, start=10**100, count=2048, step=2, bound=PRESIEVE_BOUND)
+    def test_mask_matches_naive_reference(self, a, gap, start, count, step, bound):
+        expected = naive_presieve(a, a + gap, start, count, step, bound)
+        assert presieve(a, a + gap, start, count, step, bound) == expected
+
+
+@functools.cache
+def _sieving_primes(bound: int) -> np.ndarray:
+    return np.array(list(sympy.primerange(2, bound + 1)), dtype=np.int64)
+
+
+def naive_presieve(a, b, start, count, step, bound) -> bytearray:
+    """mask[i] == 0 iff a*r+1 or b*r+1, r = start + i*step, has a prime
+    divisor q <= bound with q < the form: every (prime, candidate) pair is
+    tested, with no inverses, strides or exemption bookkeeping."""
+    primes = _sieving_primes(bound)
+    struck = np.zeros(count, dtype=bool)
+    for c in (a, b):
+        t = np.array([(c * start + 1) % q for q in primes.tolist()], dtype=np.int64)
+        u = np.array([c * step % q for q in primes.tolist()], dtype=np.int64)
+        for lo in range(0, count, 256):
+            i = np.arange(lo, min(lo + 256, count), dtype=np.int64)
+            divides = (t[:, None] + i[None, :] * u[:, None]) % primes[:, None] == 0
+            # a multiple of q is less than q only if it is q itself
+            forms = [c * (start + j * step) + 1 for j in i.tolist()]
+            small = np.array([f if f <= bound else 0 for f in forms], dtype=np.int64)
+            divides &= small[None, :] != primes[:, None]
+            struck[lo:lo + len(i)] |= divides.any(axis=0)
+    return bytearray((~struck).astype(np.uint8).tobytes())

@@ -79,6 +79,17 @@ class TestSearchPairR:
         assert res.r >= 10**40
         assert primality._SPF is None
 
+    # (offset of r from 10**40, candidates tested) for a = 2^(2^m), b = a + 1
+    @pytest.mark.parametrize("m,offset,tested", [
+        (0, 2374, 16), (1, 23120, 91), (2, 3416, 14), (3, 3050, 11), (4, 620, 4),
+    ])
+    @pytest.mark.parametrize("parity", [Parity.ANY, Parity.EVEN_ONLY])
+    def test_pinned_witnesses_from_1e40(self, m, offset, tested, parity):
+        a = 1 << (1 << m)
+        task = PairSearchTask(a=a, b=a + 1, start=10**40, parity=parity)
+        res = search_pair_r(task, use_cache=False)
+        assert (res.r - 10**40, res.candidates_tested) == (offset, tested)
+
     def test_limit_exhausted(self):
         with pytest.raises(LimitExhausted):
             search_pair_r(PairSearchTask(a=2, b=3, start=1, limit=2), use_cache=False)
