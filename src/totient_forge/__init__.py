@@ -5,7 +5,6 @@ from .arith import (
     DEFAULT_FACTORING_BOUND,
     FactoringBoundExceeded,
     Factorization,
-    FermatNumber,
     factorize,
     gcd,
     radical,

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, totients, radicals, Fermat numbers.
+"""Exact integer arithmetic: factorization, totients, radicals.
 
 All values are plain Python ints (arbitrary precision). Factorizations are
 certified: every stored prime passes the probable-prime test, and huge inputs
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_FACTORING_BOUND",
     "FactoringBoundExceeded",
     "Factorization",
-    "FermatNumber",
     "factorize",
     "gcd",
     "iter_divisors",
@@ -319,21 +318,3 @@ def v2(n: int) -> int:
         raise ValueError("v2 requires n >= 1")
     return (n & -n).bit_length() - 1
 
-
-@dataclass(frozen=True)
-class FermatNumber:
-    """2**(2**m) + 1; prime exactly for m in 0..4 among all m verified (m <= 32)."""
-
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= 32:
-            raise ValueError("Fermat index out of the verified range 0..32")
-
-    @property
-    def value(self) -> int:
-        return (1 << (1 << self.m)) + 1
-
-    @property
-    def is_prime(self) -> bool:
-        return self.m <= 4

@@ -1,7 +1,8 @@
 """Claim verification suite (C1..C8).
 
 Each claim re-derives one bundled numerical statement from scratch and
-compares against the frozen expectation. quick = C1..C6, full adds the C7
+compares against the frozen expectation. One table, _CLAIMS, gives each
+claim's level, anchor and runner: quick = C1..C6, full adds the C7
 enumeration sweep, extreme adds the C8 witness re-discovery.
 """
 
@@ -9,11 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .config import Config
-from .constructions import solve, verify_solution
 from .arith import v2
-from .search import PAIR_WITNESS_TABLE, PairSearchTask, Parity, search_pair_r, verify_r_table
+from .constructions import MIN_SOLUTIONS, solve, verify_solution
+from .search import PAIR_WITNESS_TABLE, fermat_pair_task, search_pair_r, verify_r_table
 from .sequences import SequenceVariant, generate_sequence, sequence_product_magnitude
 from .sieve_enum import enumerate_solutions, solution_count_table
 
@@ -21,6 +23,7 @@ __all__ = [
     "ClaimReport",
     "run_claims",
     "CLAIM_IDS",
+    "LEVELS",
     "EXPECTED_HASANALIZADE",
     "EXPECTED_NEW_BASE",
     "EXPECTED_NEW_BRANCH13_23",
@@ -53,19 +56,6 @@ EXPECTED_NEW_BRANCH7_PREFIX = (
 NEW_BRANCH7_BOUND = 13000
 NEW_BRANCH7_MEMBER = 12011
 
-_ANCHORS = {
-    "C1": "bundled pair-witness table: both linear forms probable prime for m = 0..4",
-    "C2": "Hasanalizade sequence to 2*10^5: 21 terms ending 157303, 160001; product > 4*10^58",
-    "C3": "base doubling sequence to 10^8: 13 terms ending 8713; product of order 6*10^26",
-    "C4": "branch sequences: 27 terms ending 13565953 (~2*10^83); 7-branch prefix, 12011, >= 10^310",
-    "C5": "enumeration k=6, M=2: exactly {4, 6, 7, 10} up to 10^6 and nothing new up to 10^7",
-    "C6": "k <= 2000: >= 3 solutions (even, M=2), >= 5 (odd, M=2), 5 Fermat solutions with distinct v2 (even, M=1)",
-    "C7": "count table k <= 10^4, M=2, n <= 10^6: minimum 4, achieved only at k=6",
-    "C8": "witness search from 10^100 rediscovers the bundled r values (discrepancies reported)",
-}
-
-CLAIM_IDS = tuple(sorted(_ANCHORS))
-
 _REPRO = "reproduce: totient-forge verify-claims --level {level}"
 
 
@@ -82,26 +72,27 @@ class ClaimReport:
         return f'{self.claim_id},{self.status},{self.runtime:.2f},"{self.anchor}","{evidence}"'
 
 
-def _report(claim_id: str, ok: bool, evidence: str, started: float, level: str) -> ClaimReport:
+def _report(claim_id: str, ok: bool, evidence: str, started: float) -> ClaimReport:
+    claim = _CLAIMS[claim_id]
     status = "Pass" if ok else "Fail"
     if not ok:
-        evidence = f"{evidence}; {_REPRO.format(level=level)}"
-    return ClaimReport(claim_id, _ANCHORS[claim_id], status, evidence, time.perf_counter() - started)
+        evidence = f"{evidence}; {_REPRO.format(level=claim.level)}"
+    return ClaimReport(claim_id, claim.anchor, status, evidence, time.perf_counter() - started)
 
 
-def claim_c1(cfg: Config) -> ClaimReport:
+def claim_c1(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
     rows = verify_r_table()
     bad = [row.m for row in rows if not row.ok]
     evidence = "; ".join(
         f"m={row.m}: {row.p1_verdict.verdict.value}/{row.p2_verdict.verdict.value}" for row in rows
     )
-    return _report("C1", not bad, evidence, t0, "quick")
+    return _report("C1", not bad, evidence, t0)
 
 
-def claim_c2(cfg: Config) -> ClaimReport:
+def claim_c2(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cfg.cache_dir)
+    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
     ok = seq.terms == EXPECTED_HASANALIZADE and seq.product > 4 * 10**58
     mant, exp = sequence_product_magnitude(seq)
     evidence = f"{len(seq.terms)} terms, last {seq.terms[-1]}, product {mant:.2f}e{exp}"
@@ -111,23 +102,23 @@ def claim_c2(cfg: Config) -> ClaimReport:
             " the even-k coverage bound is 2*product = "
             f"{2 * seq.product:.2e}"
         )
-    return _report("C2", ok, evidence, t0, "quick")
+    return _report("C2", ok, evidence, t0)
 
 
-def claim_c3(cfg: Config) -> ClaimReport:
+def claim_c3(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8, cfg.cache_dir)
+    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8, cache_dir)
     mant, exp = sequence_product_magnitude(seq)
     ok = seq.terms == EXPECTED_NEW_BASE and exp == 26
     evidence = f"{len(seq.terms)} terms, last {seq.terms[-1]}, product {mant:.2f}e{exp}"
-    return _report("C3", ok, evidence, t0, "quick")
+    return _report("C3", ok, evidence, t0)
 
 
-def claim_c4(cfg: Config) -> ClaimReport:
+def claim_c4(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7, cfg.cache_dir)
+    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7, cache_dir)
     mant23, exp23 = sequence_product_magnitude(seq23)
-    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND, cfg.cache_dir)
+    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND, cache_dir)
     mant7, exp7 = sequence_product_magnitude(seq7)
     ok = (
         seq23.terms == EXPECTED_NEW_BRANCH13_23
@@ -145,32 +136,32 @@ def claim_c4(cfg: Config) -> ClaimReport:
             "; the 27-term list matches exactly, but its exact product has"
             f" exponent {exp23}, so the stated exponent 83 cannot hold"
         )
-    return _report("C4", ok, evidence, t0, "quick")
+    return _report("C4", ok, evidence, t0)
 
 
-def claim_c5(cfg: Config) -> ClaimReport:
+def claim_c5(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
     large = enumerate_solutions(6, 2, 10**7).solutions
     small = tuple(n for n in large if n <= 10**6)
     ok = small == (4, 6, 7, 10) and large == (4, 6, 7, 10)
     evidence = f"10^6: {list(small)}; 10^7: {list(large)}"
-    return _report("C5", ok, evidence, t0, "quick")
+    return _report("C5", ok, evidence, t0)
 
 
-def claim_c6(cfg: Config, k_max: int = 2000) -> ClaimReport:
+def claim_c6(cache_dir: Path, k_max: int = 2000) -> ClaimReport:
     t0 = time.perf_counter()
     failures = []
     for k in range(1, k_max + 1):
-        m2 = solve(k, 2, cache_dir=cfg.cache_dir)
-        needed = 5 if k % 2 else 3
+        m2 = solve(k, 2, cache_dir=cache_dir)
+        needed = MIN_SOLUTIONS[(2, k % 2)]
         if len(m2) < needed:
             failures.append(f"k={k}, M=2: {len(m2)} < {needed}")
         if not all(verify_solution(s) for s in m2):
             failures.append(f"k={k}, M=2: verification failure")
         if k % 2 == 0:
-            m1 = solve(k, 1, cache_dir=cfg.cache_dir)
-            if len(m1) < 5:
-                failures.append(f"k={k}, M=1: {len(m1)} < 5")
+            m1 = solve(k, 1, cache_dir=cache_dir)
+            if len(m1) < MIN_SOLUTIONS[(1, 0)]:
+                failures.append(f"k={k}, M=1: {len(m1)} < {MIN_SOLUTIONS[(1, 0)]}")
             vals = {v2(s.n) for s in m1}
             if len(vals) != len(m1):
                 failures.append(f"k={k}, M=1: repeated 2-adic valuation")
@@ -179,28 +170,24 @@ def claim_c6(cfg: Config, k_max: int = 2000) -> ClaimReport:
         if len(failures) > 4:
             break
     evidence = "; ".join(failures) if failures else f"all k <= {k_max} satisfied the minimum counts"
-    return _report("C6", not failures, evidence, t0, "quick")
+    return _report("C6", not failures, evidence, t0)
 
 
-def claim_c7(cfg: Config) -> ClaimReport:
+def claim_c7(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
     table = solution_count_table(10**4, 2, 10**6)
     ok = table.min_count == 4 and table.min_achievers == (6,)
     evidence = f"min count {table.min_count} at k in {list(table.min_achievers)}"
-    return _report("C7", ok, evidence, t0, "full")
+    return _report("C7", ok, evidence, t0)
 
 
-def claim_c8(cfg: Config) -> ClaimReport:
+def claim_c8(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
     notes = []
     ok = True
     for m, expected in sorted(PAIR_WITNESS_TABLE.items()):
-        fermat = (1 << (1 << m)) + 1
-        task = PairSearchTask(
-            a=fermat - 1, b=fermat, start=10**100, parity=Parity.EVEN_ONLY,
-            limit=10**100 + 10**6,
-        )
-        result = search_pair_r(task, cache_dir=cfg.cache_dir)
+        task = fermat_pair_task(m, 10**100, limit=10**100 + 10**6)
+        result = search_pair_r(task, cache_dir=cache_dir)
         offset = result.r - 10**100
         if result.r == expected:
             notes.append(f"m={m}: r = 10^100 + {offset}")
@@ -211,28 +198,34 @@ def claim_c8(cfg: Config) -> ClaimReport:
         else:
             ok = False
             notes.append(f"m={m}: search returned 10^100 + {offset}, bundled value missed")
-    return _report("C8", ok, "; ".join(notes), t0, "extreme")
+    return _report("C8", ok, "; ".join(notes), t0)
 
 
-_LEVELS = {
-    "quick": ("C1", "C2", "C3", "C4", "C5", "C6"),
-    "full": ("C1", "C2", "C3", "C4", "C5", "C6", "C7"),
-    "extreme": ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"),
+class _Claim(NamedTuple):
+    level: str  # the lowest level that runs the claim
+    anchor: str
+    run: Callable[[Path], ClaimReport]
+
+
+# every claim, in run order; a level runs its own claims and those of the
+# levels before it
+_CLAIMS = {
+    "C1": _Claim("quick", "bundled pair-witness table: both linear forms probable prime for m = 0..4", claim_c1),
+    "C2": _Claim("quick", "Hasanalizade sequence to 2*10^5: 21 terms ending 157303, 160001; product > 4*10^58", claim_c2),
+    "C3": _Claim("quick", "base doubling sequence to 10^8: 13 terms ending 8713; product of order 6*10^26", claim_c3),
+    "C4": _Claim("quick", "branch sequences: 27 terms ending 13565953 (~2*10^83); 7-branch prefix, 12011, >= 10^310", claim_c4),
+    "C5": _Claim("quick", "enumeration k=6, M=2: exactly {4, 6, 7, 10} up to 10^6 and nothing new up to 10^7", claim_c5),
+    "C6": _Claim("quick", "k <= 2000: >= 3 solutions (even, M=2), >= 5 (odd, M=2), 5 Fermat solutions with distinct v2 (even, M=1)", claim_c6),
+    "C7": _Claim("full", "count table k <= 10^4, M=2, n <= 10^6: minimum 4, achieved only at k=6", claim_c7),
+    "C8": _Claim("extreme", "witness search from 10^100 rediscovers the bundled r values (discrepancies reported)", claim_c8),
 }
 
-_RUNNERS = {
-    "C1": claim_c1,
-    "C2": claim_c2,
-    "C3": claim_c3,
-    "C4": claim_c4,
-    "C5": claim_c5,
-    "C6": claim_c6,
-    "C7": claim_c7,
-    "C8": claim_c8,
-}
+CLAIM_IDS = tuple(_CLAIMS)
+LEVELS = tuple(dict.fromkeys(claim.level for claim in _CLAIMS.values()))
 
 
-def run_claims(level: str, cfg: Config) -> list[ClaimReport]:
-    if level not in _LEVELS:
-        raise ValueError(f"level must be one of {sorted(_LEVELS)}")
-    return [_RUNNERS[cid](cfg) for cid in _LEVELS[level]]
+def run_claims(level: str, cache_dir: Path) -> list[ClaimReport]:
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {sorted(LEVELS)}")
+    reach = LEVELS.index(level)
+    return [claim.run(cache_dir) for claim in _CLAIMS.values() if LEVELS.index(claim.level) <= reach]

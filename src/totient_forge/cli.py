@@ -10,25 +10,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .arith import FactoringBoundExceeded, Factorization, factorize, totient
-from .claims import _LEVELS, run_claims
-from .config import CACHE_ENV, Config
+from .claims import LEVELS, run_claims
+from .config import CACHE_ENV, default_cache_dir
 from .constructions import (
+    MIN_SOLUTIONS,
     ConstructionError,
     serialize_solution,
     solution_to_dict,
     solve,
     verify_solution,
 )
-from .search import LimitExhausted, PairSearchTask, Parity, search_pair_r
+from .search import FERMAT_PRIMES, LimitExhausted, PairSearchTask, Parity, search_pair_r
 from .sequences import SequenceVariant, generate_sequence, sequence_product_magnitude
 from .sieve_enum import RangeTooLarge, enumerate_solutions, solution_count_table
 
 USAGE_ERROR = 2
-
-# minimum solution counts guaranteed at desk scale, keyed by (M, k parity)
-_MIN_COUNTS = {(1, 0): 5, (1, 1): 0, (2, 0): 3, (2, 1): 5}
+_FORMATS = ("text", "json", "csv")
 
 
 def _decimal(text: str) -> int:
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=f"Claim ids C1..C8 are frozen; cache directory via --cache-dir or ${CACHE_ENV}.",
     )
     parser.add_argument("--cache-dir", help="cache directory (overrides the environment)")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    parser.add_argument("--format", choices=_FORMATS, default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="list verified solutions for (k, M)")
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_positive_decimal, help="give-up bound on r")
 
     p = sub.add_parser("verify-claims", help="run the claim verification suite")
-    p.add_argument("--level", choices=tuple(_LEVELS), default="quick")
+    p.add_argument("--level", choices=LEVELS, default="quick")
     p.add_argument("--csv", help="also write the machine-readable report here")
 
     p = sub.add_parser("totient", help="Euler's totient of N")
@@ -125,19 +125,19 @@ def _emit_solutions(solutions, fmt: str) -> None:
             print(serialize_solution(s))
 
 
-def cmd_solve(args, cfg: Config) -> int:
+def cmd_solve(args, cache_dir: Path) -> int:
     k_fact = _parse_factors(args.k_factors, args.k)
     solutions = solve(
         args.k, args.M, k_fact=k_fact, with_witness_search=args.with_witness_search,
-        cache_dir=cfg.cache_dir,
+        cache_dir=cache_dir,
     )
     _emit_solutions(solutions, args.format)
     if not all(verify_solution(s) for s in solutions):
         return 1
-    return 0 if len(solutions) >= _MIN_COUNTS[(args.M, args.k % 2)] else 1
+    return 0 if len(solutions) >= MIN_SOLUTIONS[(args.M, args.k % 2)] else 1
 
 
-def cmd_enumerate(args, cfg: Config) -> int:
+def cmd_enumerate(args, cache_dir: Path) -> int:
     report = enumerate_solutions(args.k, args.M, args.max)
     if args.format == "json":
         print(json.dumps({
@@ -150,7 +150,7 @@ def cmd_enumerate(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_count(args, cfg: Config) -> int:
+def cmd_count(args, cache_dir: Path) -> int:
     table = solution_count_table(args.k_max, args.M, args.max)
     if args.format == "json":
         print(json.dumps({
@@ -165,9 +165,9 @@ def cmd_count(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_sequence(args, cfg: Config) -> int:
+def cmd_sequence(args, cache_dir: Path) -> int:
     variant = SequenceVariant(args.variant)
-    seq = generate_sequence(variant, args.bound, cfg.cache_dir)
+    seq = generate_sequence(variant, args.bound, cache_dir)
     mantissa, exponent = sequence_product_magnitude(seq)
     if args.format == "json":
         print(json.dumps({
@@ -189,11 +189,11 @@ def cmd_sequence(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_search_r(args, cfg: Config) -> int:
+def cmd_search_r(args, cache_dir: Path) -> int:
     if args.m is not None:
         if args.a is not None or args.b is not None:
             raise ValueError("--m replaces --a/--b; do not combine them")
-        a, b = 1 << (1 << args.m), (1 << (1 << args.m)) + 1
+        a, b = FERMAT_PRIMES[args.m] - 1, FERMAT_PRIMES[args.m]
     elif args.a is None or args.b is None:
         raise ValueError("either --m or both --a and --b are required")
     else:
@@ -203,7 +203,7 @@ def cmd_search_r(args, cfg: Config) -> int:
         parity=Parity.EVEN_ONLY if args.even_only else Parity.ANY,
         avoid_divisors_of=args.avoid, limit=args.limit,
     )
-    result = search_pair_r(task, cache_dir=cfg.cache_dir)
+    result = search_pair_r(task, cache_dir=cache_dir)
     if args.format == "json":
         print(json.dumps({
             "r": str(result.r), "p1": str(result.p1), "p2": str(result.p2),
@@ -218,8 +218,8 @@ def cmd_search_r(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_verify_claims(args, cfg: Config) -> int:
-    reports = run_claims(args.level, cfg)
+def cmd_verify_claims(args, cache_dir: Path) -> int:
+    reports = run_claims(args.level, cache_dir)
     width = max(len(r.anchor) for r in reports)
     for r in reports:
         print(f"{r.claim_id}  {r.status:7s} {r.runtime:8.2f}s  {r.anchor:{width}s}")
@@ -233,15 +233,15 @@ def cmd_verify_claims(args, cfg: Config) -> int:
         sys.stdout.write(csv_text)
     csv_path = args.csv
     if csv_path is None:
-        cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = cfg.cache_dir / f"claims_{args.level}.csv"
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        csv_path = cache_dir / f"claims_{args.level}.csv"
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write(csv_text)
     print(f"csv report written to {csv_path}")
     return 1 if failed else 0
 
 
-def cmd_totient(args, cfg: Config) -> int:
+def cmd_totient(args, cache_dir: Path) -> int:
     hint = _parse_factors(args.k_factors, args.n)
     value = totient(factorize(args.n, hint=hint))
     if args.format == "json":
@@ -251,7 +251,7 @@ def cmd_totient(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_factor(args, cfg: Config) -> int:
+def cmd_factor(args, cache_dir: Path) -> int:
     f = factorize(args.n)
     if args.format == "json":
         print(json.dumps({
@@ -263,24 +263,29 @@ def cmd_factor(args, cfg: Config) -> int:
     return 0
 
 
+# command -> (handler, the --format values it prints)
 _COMMANDS = {
-    "solve": cmd_solve,
-    "enumerate": cmd_enumerate,
-    "count": cmd_count,
-    "sequence": cmd_sequence,
-    "search-r": cmd_search_r,
-    "verify-claims": cmd_verify_claims,
-    "totient": cmd_totient,
-    "factor": cmd_factor,
+    "solve": (cmd_solve, _FORMATS),
+    "enumerate": (cmd_enumerate, _FORMATS),
+    "count": (cmd_count, _FORMATS),
+    "sequence": (cmd_sequence, _FORMATS),
+    "search-r": (cmd_search_r, ("text", "json")),
+    "verify-claims": (cmd_verify_claims, ("text", "csv")),
+    "totient": (cmd_totient, ("text", "json")),
+    "factor": (cmd_factor, ("text", "json")),
 }
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command, formats = _COMMANDS[args.command]
+    if args.format not in formats:
+        parser.error(f"{args.command} does not support --format {args.format}"
+                     f" (supported: {', '.join(formats)})")
+    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     try:
-        cfg = Config(args.cache_dir) if args.cache_dir else Config()
-        return _COMMANDS[args.command](args, cfg)
+        return command(args, cache_dir)
     except (ValueError, FactoringBoundExceeded, RangeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,12 +1,12 @@
-"""Runtime configuration: the cache location, and atomic writes into it.
+"""The cache location, and atomic writes into it.
 
-Precedence: an explicit flag beats the environment, which beats the default.
+Precedence: an explicit --cache-dir beats the environment, which beats the
+default.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 CACHE_ENV = "TOTIENT_FORGE_CACHE"
@@ -33,10 +33,3 @@ def write_text_atomic(path: Path, text: str) -> None:
     finally:
         tmp.unlink(missing_ok=True)
 
-
-@dataclass
-class Config:
-    cache_dir: Path = field(default_factory=default_cache_dir)
-
-    def __post_init__(self):
-        self.cache_dir = Path(self.cache_dir)

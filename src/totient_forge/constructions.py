@@ -29,11 +29,12 @@ from pathlib import Path
 
 from .arith import Factorization, factorize, iter_divisors, star_divides
 from .primality import is_probable_prime
-from .search import LimitExhausted, PairSearchTask, Parity, search_pair_r
+from .search import FERMAT_PRIMES, LimitExhausted, fermat_pair_task, search_pair_r
 from .sequences import PrimeSequence, SequenceVariant, generate_sequence
 
 __all__ = [
     "Method",
+    "MIN_SOLUTIONS",
     "Solution",
     "ConstructionError",
     "NotApplicable",
@@ -103,7 +104,6 @@ class Method(Enum):
     GHP_M2 = "GhpM2"
     PROP_DOUBLE_PRIME = "PropDoublePrime"
     PROP_PHI_PAIR = "PropPhiPair"
-    ENUMERATED = "Enumerated"
 
 
 @dataclass(frozen=True)
@@ -251,10 +251,10 @@ def _makowski(k: int, kf: Factorization) -> Solution:
 # Fermat-prime constructions
 
 
-# (2^(2^m), 2^(2^m) + 1) for the five Fermat primes
+# (F_m - 1 = 2^(2^m), F_m) for the five Fermat primes
 _FERMAT = tuple(
-    (Factorization(((2, 1 << m),), 1 << (1 << m)), _prime((1 << (1 << m)) + 1))
-    for m in range(5)
+    (Factorization(((2, 1 << m),), fermat - 1), _prime(fermat))
+    for m, fermat in enumerate(FERMAT_PRIMES)
 )
 
 
@@ -542,22 +542,22 @@ def _merge(solutions) -> list[Solution]:
     return [by_n[n] for n in sorted(by_n)]
 
 
-def _search_fermat_r(m: int, k: int, cache_dir) -> int:
-    fermat = (1 << (1 << m)) + 1
-    task = PairSearchTask(a=fermat - 1, b=fermat, start=1, parity=Parity.EVEN_ONLY,
-                          avoid_divisors_of=k)
-    return search_pair_r(task, cache_dir=cache_dir).r
-
-
 def _scan_divisors(kf: Factorization, build) -> list[Solution]:
-    """Every solution build(d) yields over the divisors d of k (up to 10^6 for large k)."""
+    """Every solution build(d) yields over the divisors d <= 10^6 of k."""
     found = []
-    for d in iter_divisors(kf, limit=None if kf.value < 10**6 else 10**6):
+    for d in iter_divisors(kf, limit=10**6):
         try:
             found.append(build(d))
         except ConstructionError:
             continue
     return found
+
+
+# Minimum solution counts guaranteed at desk scale, keyed by (M, k % 2): the
+# five Fermat solutions for M = 1 with even k and M = 2 with odd k; the
+# branch, Makowski and Hasanalizade solutions for M = 2 with even k; none for
+# M = 1 with odd k. Claim C6 and the CLI's solve exit code check them.
+MIN_SOLUTIONS = {(1, 0): 5, (1, 1): 0, (2, 0): 3, (2, 1): 5}
 
 
 def solve(
@@ -588,10 +588,9 @@ def solve(
             log.warning("witness search exhausted for k=%s: %s", k, exc)
 
     def fermat_with_search(m: int):
-        fermat = (1 << (1 << m)) + 1
         r = None
-        if gcd(fermat, k) != 1:
-            r = _search_fermat_r(m, k, cache_dir)
+        if gcd(FERMAT_PRIMES[m], k) != 1:
+            r = search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=k), cache_dir=cache_dir).r
         return _fermat(k, m, r, M, kf)
 
     if M == 1 and k % 2 == 0:

@@ -358,17 +358,24 @@ def _strike_arrays(mask: bytearray, a: int, b: int, start: int, step: int, prime
     ca, cb = _residues(a, primes), _residues(b, primes)
     t = np.concatenate(((ca * s + 1) % primes, (cb * s + 1) % primes))
     u = np.concatenate((ca * d % primes, cb * d % primes))
+    del s, d, ca, cb  # from here on only arrays of 2n entries stay alive
     # one Fermat inverse of ua*ub per prime gives 1/ua = ub/(ua*ub) and
     # 1/ub = ua/(ua*ub); a zero u stands in as 1 and is overridden below
     n = len(primes)
     flat = u == 0
-    u1 = np.where(flat, 1, u)
-    inv = _inverses(u1[:n] * u1[n:] % primes, primes)
-    inv_u = np.concatenate((u1[n:] * inv % primes, u1[:n] * inv % primes))
-    qq = np.concatenate((primes, primes))
-    first = (qq - t) * inv_u % qq
-    stride = np.where(flat, 1, qq)
-    first[flat] = np.where(t[flat] == 0, 0, count)
+    everywhere = t[flat] == 0
+    u[flat] = 1
+    inv = _inverses(u[:n] * u[n:] % primes, primes)
+    u[:n], u[n:] = u[n:] * inv % primes, u[:n] * inv % primes
+    del inv
+    stride = np.concatenate((primes, primes))
+    first = stride - t
+    del t
+    first *= u
+    del u
+    first %= stride
+    stride[flat] = 1
+    first[flat] = np.where(everywhere, 0, count)
     # a form equal to its own sieving prime does not clear its candidate
     own = np.concatenate((_own_index(a, primes, start, count, step),
                           _own_index(b, primes, start, count, step)))

@@ -38,14 +38,19 @@ __all__ = [
     "verify_r_table",
     "PAIR_WITNESS_TABLE",
     "RTableRow",
+    "FERMAT_PRIMES",
+    "fermat_pair_task",
 ]
 
 log = logging.getLogger(__name__)
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
+# The five known Fermat primes F_m = 2^(2^m) + 1, m = 0..4.
+FERMAT_PRIMES = tuple((1 << (1 << m)) + 1 for m in range(5))
+
 # Bundled witnesses r (indexed by the Fermat prime exponent m) for which both
-# (2^(2^m)) * r + 1 and (2^(2^m) + 1) * r + 1 pass the probable-prime tests.
+# (F_m - 1) * r + 1 and F_m * r + 1 pass the probable-prime tests.
 PAIR_WITNESS_TABLE = {
     0: 10**100 + 9760,
     1: 10**100 + 60128,
@@ -78,6 +83,14 @@ class PairSearchTask:
             raise ValueError("need 1 <= a < b")
         if self.start < 1:
             raise ValueError("start must be >= 1")
+
+
+def fermat_pair_task(m: int, start: int, limit: int | None = None,
+                     avoid_divisors_of: int | None = None) -> PairSearchTask:
+    """The Fermat pair task: even r >= start with (F_m - 1)*r + 1 and F_m*r + 1 prime."""
+    fermat = FERMAT_PRIMES[m]
+    return PairSearchTask(a=fermat - 1, b=fermat, start=start, parity=Parity.EVEN_ONLY,
+                          avoid_divisors_of=avoid_divisors_of, limit=limit)
 
 
 @dataclass(frozen=True)
@@ -231,7 +244,7 @@ def verify_r_table() -> list[RTableRow]:
     """Re-test both linear forms for every bundled witness row."""
     rows = []
     for m, r in sorted(PAIR_WITNESS_TABLE.items()):
-        fermat = (1 << (1 << m)) + 1
+        fermat = FERMAT_PRIMES[m]
         rows.append(
             RTableRow(m, r, is_probable_prime((fermat - 1) * r + 1), is_probable_prime(fermat * r + 1))
         )

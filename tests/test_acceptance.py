@@ -30,12 +30,11 @@ from totient_forge.claims import (
     claim_c2,
     claim_c4,
 )
-from totient_forge.config import Config
 from totient_forge.constructions import solve, verify_solution
 from totient_forge.search import (
+    FERMAT_PRIMES,
     PAIR_WITNESS_TABLE,
-    PairSearchTask,
-    Parity,
+    fermat_pair_task,
     search_pair_r,
     verify_r_table,
 )
@@ -56,11 +55,6 @@ def announce(cid: str, ok: bool, detail: str) -> None:
     print(f"{cid} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-@pytest.fixture(scope="module")
-def cfg(cache_dir):
-    return Config(cache_dir=cache_dir)
-
-
 def test_c1_r_table_primality():
     rows = verify_r_table()
     ok = all(row.ok for row in rows)
@@ -68,11 +62,11 @@ def test_c1_r_table_primality():
     assert ok
 
 
-def test_c2_hasanalizade_sequence(cfg):
-    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cfg.cache_dir)
+def test_c2_hasanalizade_sequence(cache_dir):
+    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
     mantissa, exponent = sequence_product_magnitude(seq)
     expected = math.prod(EXPECTED_HASANALIZADE)
-    report = claim_c2(cfg)
+    report = claim_c2(cache_dir)
     list_ok = seq.terms == EXPECTED_HASANALIZADE
     announce(
         "C2",
@@ -93,8 +87,8 @@ def test_c2_hasanalizade_sequence(cfg):
     assert "2*product = 4.03e+58" in report.evidence
 
 
-def test_c3_new_base_sequence(cfg):
-    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8, cfg.cache_dir)
+def test_c3_new_base_sequence(cache_dir):
+    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8, cache_dir)
     mantissa, exponent = sequence_product_magnitude(seq)
     ok = seq.terms == EXPECTED_NEW_BASE and exponent == 26
     announce("C3", ok, f"13-term match: {seq.terms == EXPECTED_NEW_BASE}; "
@@ -103,13 +97,13 @@ def test_c3_new_base_sequence(cfg):
     assert exponent == 26
 
 
-def test_c4_branch_sequences(cfg):
-    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7, cfg.cache_dir)
+def test_c4_branch_sequences(cache_dir):
+    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7, cache_dir)
     mant23, exp23 = sequence_product_magnitude(seq23)
-    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND, cfg.cache_dir)
+    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND, cache_dir)
     _, exp7 = sequence_product_magnitude(seq7)
     expected23 = math.prod(EXPECTED_NEW_BRANCH13_23)
-    report = claim_c4(cfg)
+    report = claim_c4(cache_dir)
     list23_ok = seq23.terms == EXPECTED_NEW_BRANCH13_23
     prefix7_ok = seq7.terms[: len(EXPECTED_NEW_BRANCH7_PREFIX)] == EXPECTED_NEW_BRANCH7_PREFIX
     member_ok = 12011 in seq7.terms
@@ -145,17 +139,17 @@ def test_c5_k6_enumeration():
     assert large.solutions == (4, 6, 7, 10)
 
 
-def test_c6_theorem_counts_desk_scale(cfg):
+def test_c6_theorem_counts_desk_scale(cache_dir):
     failures = []
     for k in range(1, 2001):
-        m2 = solve(k, 2, cache_dir=cfg.cache_dir)
+        m2 = solve(k, 2, cache_dir=cache_dir)
         needed = 5 if k % 2 else 3
         if len(m2) < needed:
             failures.append(f"k={k} M=2 count {len(m2)}")
         if not all(verify_solution(s) for s in m2):
             failures.append(f"k={k} M=2 verify")
         if k % 2 == 0:
-            m1 = solve(k, 1, cache_dir=cfg.cache_dir)
+            m1 = solve(k, 1, cache_dir=cache_dir)
             if len(m1) < 5:
                 failures.append(f"k={k} M=1 count {len(m1)}")
             if len({v2(s.n) for s in m1}) != len(m1):
@@ -177,15 +171,12 @@ def test_c7_full_sweep():
 
 
 @pytest.mark.skipif(LEVEL in ("quick", "full"), reason="extreme level only")
-def test_c8_witness_rediscovery(cfg):
+def test_c8_witness_rediscovery(cache_dir):
     notes = []
     ok = True
     for m, expected in sorted(PAIR_WITNESS_TABLE.items()):
-        fermat = (1 << (1 << m)) + 1
         result = search_pair_r(
-            PairSearchTask(a=fermat - 1, b=fermat, start=10**100,
-                           parity=Parity.EVEN_ONLY, limit=10**100 + 10**6),
-            cache_dir=cfg.cache_dir,
+            fermat_pair_task(m, 10**100, limit=10**100 + 10**6), cache_dir=cache_dir,
         )
         if result.r == expected:
             notes.append(f"m={m} exact")
@@ -201,13 +192,13 @@ def test_c8_witness_rediscovery(cfg):
     assert ok
 
 
-def test_p1_oracle_containment(cfg):
+def test_p1_oracle_containment(cache_dir):
     limit = 10**5
     bad = []
     for k in range(1, 201):
         for M in (1, 2):
             oracle = set(enumerate_solutions(k, M, limit).solutions)
-            for s in solve(k, M, cache_dir=cfg.cache_dir):
+            for s in solve(k, M, cache_dir=cache_dir):
                 if s.n <= limit and s.n not in oracle:
                     bad.append((k, M, s.n))
     announce("P1", not bad,
@@ -243,7 +234,7 @@ def _phi_from_merge(da: dict, db: dict) -> int:
     return out
 
 
-def test_p2_identity_suite(cfg):
+def test_p2_identity_suite(cache_dir):
     limit = 10**4
     phi = totients_upto(limit)
     facts = _factor_dicts_upto(limit)
@@ -277,8 +268,7 @@ def test_p2_identity_suite(cfg):
                 pair_count += 1
 
     # (3) F_m - 1 = 2 * totient(F_m - 1)
-    for m in range(5):
-        value = (1 << (1 << m)) + 1
+    for value in FERMAT_PRIMES:
         assert value - 1 == 2 * totient(value - 1)
 
     # (4) sieve totients match factorization totients: all n <= 10^5, then

@@ -12,7 +12,6 @@ from totient_forge.arith import (
     DEFAULT_FACTORING_BOUND,
     FactoringBoundExceeded,
     Factorization,
-    FermatNumber,
     factorize,
     gcd,
     iter_divisors,
@@ -21,6 +20,7 @@ from totient_forge.arith import (
     totient,
     v2,
 )
+from totient_forge.search import FERMAT_PRIMES
 
 
 def phi_by_count(n: int) -> int:
@@ -215,8 +215,7 @@ class TestIdentities:
                     assert a * phi[b] == b * phi[a]
 
     def test_fermat_half_identity(self):
-        for m in range(5):
-            value = FermatNumber(m).value
+        for value in FERMAT_PRIMES:
             assert value - 1 == 2 * totient(value - 1)
 
 
@@ -296,17 +295,3 @@ class TestFactorization:
         with pytest.raises(ValueError):
             f.div_exact(7)
 
-
-class TestFermatNumber:
-    def test_values(self):
-        assert [FermatNumber(m).value for m in range(5)] == [3, 5, 17, 257, 65537]
-
-    def test_primality_flags(self):
-        for m in range(33):
-            assert FermatNumber(m).is_prime == (m <= 4)
-
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            FermatNumber(33)
-        with pytest.raises(ValueError):
-            FermatNumber(-1)

@@ -1,8 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from totient_forge import claims
 from totient_forge.cli import main
+from totient_forge.primality import is_probable_prime
+from totient_forge.search import RTableRow
+from totient_forge.sequences import generate_sequence
 from totient_forge.sieve_enum import solution_count_table
 
 
@@ -216,6 +221,45 @@ class TestConfig:
         assert (flag_dir / "sequences").exists()
         assert not (tmp_path / "from_env2").exists()
 
+    def test_verify_claims_defaults_to_env_cache(self, capsys, tmp_path, monkeypatch):
+        env_dir = tmp_path / "from_env3"
+        monkeypatch.setenv("TOTIENT_FORGE_CACHE", str(env_dir))
+        code, out = run(capsys, ["verify-claims", "--level", "quick"])
+        assert code == 1  # C2 and C4 encode published magnitudes that fail
+        csv_path = env_dir / "claims_quick.csv"
+        assert f"csv report written to {csv_path}" in out
+        assert csv_path.read_text().startswith("claim,status,runtime_s,anchor,evidence\nC1,Pass,")
+        assert sorted(p.name for p in (env_dir / "sequences").iterdir()) == [
+            "hasanalizade_200000.txt", "newbase_10000.txt", "newbase_100000000.txt",
+            "newbranch13_23_20000000.txt", "newbranch7_13000.txt",
+        ]
+
+
+class TestFormats:
+    @pytest.mark.parametrize("fmt,argv", [
+        ("csv", ["factor", "12"]),
+        ("csv", ["totient", "12"]),
+        ("csv", ["search-r", "--a", "2", "--b", "3"]),
+        ("json", ["verify-claims", "--level", "quick"]),
+    ])
+    def test_unsupported_format_is_a_usage_error(self, capsys, cache_dir, fmt, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", str(cache_dir), "--format", fmt] + argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[0]} does not support --format {fmt}" in captured.err
+
+    @pytest.mark.parametrize("fmt,argv", [
+        ("json", ["factor", "12"]),
+        ("json", ["totient", "12"]),
+        ("json", ["search-r", "--a", "2", "--b", "3"]),
+        ("text", ["factor", "12"]),
+    ])
+    def test_supported_format_runs(self, capsys, cache_dir, fmt, argv):
+        code, out = run(capsys, ["--cache-dir", str(cache_dir), "--format", fmt] + argv)
+        assert code == 0 and out
+
 
 class TestVerifyClaimsContract:
     def test_quick_level_table_and_exit(self, capsys, cache_dir):
@@ -232,7 +276,37 @@ class TestVerifyClaimsContract:
 
     def test_claims_levels_validated(self, cache_dir):
         from totient_forge.claims import run_claims
-        from totient_forge.config import Config
 
         with pytest.raises(ValueError):
-            run_claims("bogus", Config(cache_dir=cache_dir))
+            run_claims("bogus", cache_dir)
+
+    def test_levels_run_the_claims_up_to_them(self, cache_dir, monkeypatch):
+        table = {cid: claim._replace(run=lambda d, cid=cid: cid) for cid, claim in claims._CLAIMS.items()}
+        monkeypatch.setattr(claims, "_CLAIMS", table)
+        assert claims.LEVELS == ("quick", "full", "extreme")
+        quick = ["C1", "C2", "C3", "C4", "C5", "C6"]
+        assert claims.run_claims("quick", cache_dir) == quick
+        assert claims.run_claims("full", cache_dir) == quick + ["C7"]
+        assert claims.run_claims("extreme", cache_dir) == quick + ["C7", "C8"]
+
+    # a failing claim's hint names the lowest level that runs it; C2 and C4
+    # fail as published, the others are made to fail here
+    @pytest.mark.parametrize("cid,level,patch", [
+        ("C1", "quick", ("verify_r_table", lambda: [
+            RTableRow(0, 4, is_probable_prime(9), is_probable_prime(13))])),
+        ("C2", "quick", None),
+        ("C3", "quick", ("generate_sequence", lambda variant, bound, cache_dir: generate_sequence(
+            variant, 100, cache_dir))),
+        ("C4", "quick", None),
+        ("C5", "quick", ("enumerate_solutions", lambda k, M, limit: SimpleNamespace(solutions=(4, 6, 7)))),
+        ("C6", "quick", ("solve", lambda *args, **kwargs: [])),
+        ("C7", "full", ("solution_count_table", lambda k_max, M, limit: SimpleNamespace(
+            min_count=3, min_achievers=(6,)))),
+        ("C8", "extreme", ("search_pair_r", lambda task, cache_dir: SimpleNamespace(r=10**101))),
+    ])
+    def test_reproduce_hint_names_the_lowest_level(self, cache_dir, monkeypatch, cid, level, patch):
+        if patch is not None:
+            monkeypatch.setattr(claims, *patch)
+        report = getattr(claims, f"claim_c{cid[1]}")(cache_dir)
+        assert report.status == "Fail"
+        assert report.evidence.endswith(f"; reproduce: totient-forge verify-claims --level {level}")

@@ -7,10 +7,12 @@ import sympy
 from totient_forge import primality, search
 from totient_forge.primality import Verdict, presieve
 from totient_forge.search import (
+    FERMAT_PRIMES,
     PAIR_WITNESS_TABLE,
     LimitExhausted,
     PairSearchTask,
     Parity,
+    fermat_pair_task,
     search_pair_r,
     verify_r_table,
 )
@@ -159,3 +161,17 @@ class TestRTable:
         assert {m: r - 10**100 for m, r in PAIR_WITNESS_TABLE.items()} == {
             0: 9760, 1: 60128, 2: 150326, 3: 51326, 4: 14786,
         }
+
+
+class TestFermatPairTask:
+    def test_fermat_primes(self):
+        assert FERMAT_PRIMES == (3, 5, 17, 257, 65537)
+        assert all(sympy.isprime(f) for f in FERMAT_PRIMES)
+
+    def test_task_fields(self):
+        task = fermat_pair_task(3, 10**100, limit=10**101, avoid_divisors_of=514)
+        assert task == PairSearchTask(
+            a=256, b=257, start=10**100, parity=Parity.EVEN_ONLY,
+            avoid_divisors_of=514, limit=10**101,
+        )
+        assert fermat_pair_task(0, 1) == PairSearchTask(a=2, b=3, start=1, parity=Parity.EVEN_ONLY)
