@@ -220,24 +220,26 @@ def cmd_search_r(args, cache_dir: Path) -> int:
 
 def cmd_verify_claims(args, cache_dir: Path) -> int:
     reports = run_claims(args.level, cache_dir)
-    width = max(len(r.anchor) for r in reports)
-    for r in reports:
-        print(f"{r.claim_id}  {r.status:7s} {r.runtime:8.2f}s  {r.anchor:{width}s}")
-        print(f"    {r.evidence}")
     failed = [r for r in reports if r.status == "Fail"]
-    print(f"{len(reports) - len(failed)}/{len(reports)} claims passed")
     csv_text = "claim,status,runtime_s,anchor,evidence\n" + "\n".join(
         r.csv_row() for r in reports
     ) + "\n"
+    # with --format csv stdout carries the CSV alone
     if args.format == "csv":
         sys.stdout.write(csv_text)
+    else:
+        width = max(len(r.anchor) for r in reports)
+        for r in reports:
+            print(f"{r.claim_id}  {r.status:7s} {r.runtime:8.2f}s  {r.anchor:{width}s}")
+            print(f"    {r.evidence}")
+        print(f"{len(reports) - len(failed)}/{len(reports)} claims passed")
     csv_path = args.csv
     if csv_path is None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         csv_path = cache_dir / f"claims_{args.level}.csv"
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write(csv_text)
-    print(f"csv report written to {csv_path}")
+    print(f"csv report written to {csv_path}", file=sys.stderr if args.format == "csv" else sys.stdout)
     return 1 if failed else 0
 
 

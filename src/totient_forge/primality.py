@@ -25,6 +25,8 @@ __all__ = [
     "SEGMENT_CANDIDATES",
     "Verdict",
     "PrimalityVerdict",
+    "bpsw_confirm",
+    "bpsw_screen",
     "is_prime_small",
     "is_probable_prime",
     "primes_upto",
@@ -237,15 +239,12 @@ def _strong_lucas_composite(n: int) -> bool:
     return True
 
 
-def is_probable_prime(n: int) -> PrimalityVerdict:
-    """Best available verdict for any n >= 0.
+def bpsw_screen(n: int) -> PrimalityVerdict | None:
+    """First stage of the test above 2**64: the Composite verdict of the
+    trial-prime gcd or the strong base-2 test, or None when n passes both.
 
-    Delegates to the deterministic test below 2**64; above, combines a
-    strong base-2 test with a strong Lucas test (no counterexample to the
-    combination is known).
+    Needs n >= 2**64. A None must be settled by `bpsw_confirm(n)`.
     """
-    if n < DETERMINISTIC_LIMIT:
-        return is_prime_small(n)
     trial = _trial_primes()
     # one gcd with the primes' product rules them all out (3.4 against
     # 16.6 us of trial division at 333 bits); scan them only to name the
@@ -256,9 +255,27 @@ def is_probable_prime(n: int) -> PrimalityVerdict:
     d, s = _decompose(n)
     if _mr_composite(n, 2, d, s):
         return PrimalityVerdict(n, Verdict.COMPOSITE, 2)
+    return None
+
+
+def bpsw_confirm(n: int) -> PrimalityVerdict:
+    """Second stage, for an n that `bpsw_screen` passed: the strong Lucas test."""
     if _strong_lucas_composite(n):
         return PrimalityVerdict(n, Verdict.COMPOSITE)
     return PrimalityVerdict(n, Verdict.PROBABLE_PRIME)
+
+
+def is_probable_prime(n: int) -> PrimalityVerdict:
+    """Best available verdict for any n >= 0.
+
+    Delegates to the deterministic test below 2**64; above, combines a
+    strong base-2 test with a strong Lucas test (no counterexample to the
+    combination is known): `bpsw_screen`, then `bpsw_confirm`.
+    """
+    if n < DETERMINISTIC_LIMIT:
+        return is_prime_small(n)
+    screened = bpsw_screen(n)
+    return screened if screened is not None else bpsw_confirm(n)
 
 
 # ---------------------------------------------------------------------------

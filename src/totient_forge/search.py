@@ -8,6 +8,13 @@ prime list one prime at a time and a long one (all 9,592 primes <= 10^5 once
 b*r passes 10^10) as arrays over the primes. The scan then jumps from
 survivor to survivor of the mask (under 1% of a 10^40..10^100 block) instead
 of visiting every candidate.
+
+A survivor is a hit when both forms pass `is_probable_prime`. Once a block's
+forms are all above 2**64, its two stages run form by form: the gcd with the
+trial primes' product and the strong base-2 test on a*r+1, then on b*r+1, and
+only when both pass, the strong Lucas test on each. Most survivors fail base 2
+on one form, so the Lucas test (three to four base-2 tests' cost) runs almost
+only on the hit. Below 2**64 each form takes `is_probable_prime` whole.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ from pathlib import Path
 
 from .config import default_cache_dir, write_text_atomic
 from .primality import (
+    DETERMINISTIC_LIMIT,
     PRESIEVE_BOUND,
     SEGMENT_CANDIDATES,
     PrimalityVerdict,
     Verdict,
+    bpsw_confirm,
+    bpsw_screen,
     is_probable_prime,
     presieve,
 )
@@ -109,6 +119,8 @@ def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
     bound = max(3, min(PRESIEVE_BOUND, math.isqrt(top) + 1))
     mask = presieve(task.a, task.b, block_start, count, step, bound)
     avoid = task.avoid_divisors_of
+    # every form of the block is above 2**64 once its smallest one is
+    two_stage = task.a * block_start + 1 >= DETERMINISTIC_LIMIT
     tested = 0
     i = -1
     while (i := mask.find(1, i + 1)) >= 0:
@@ -118,10 +130,20 @@ def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
         if avoid is not None and (avoid % p1 == 0 or avoid % p2 == 0):
             continue
         tested += 1
-        v1 = is_probable_prime(p1)
-        if v1.verdict is Verdict.COMPOSITE:
-            continue
-        v2 = is_probable_prime(p2)
+        if two_stage:
+            # both forms take the gcd and the base-2 test before either
+            # takes the Lucas test, which costs three to four base-2 tests
+            if bpsw_screen(p1) is not None or bpsw_screen(p2) is not None:
+                continue
+            v1 = bpsw_confirm(p1)
+            if v1.verdict is Verdict.COMPOSITE:
+                continue
+            v2 = bpsw_confirm(p2)
+        else:
+            v1 = is_probable_prime(p1)
+            if v1.verdict is Verdict.COMPOSITE:
+                continue
+            v2 = is_probable_prime(p2)
         if v2.verdict is Verdict.COMPOSITE:
             continue
         return PairSearchResult(r, p1, p2, (v1, v2), tested), tested

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from types import SimpleNamespace
 
@@ -273,6 +275,18 @@ class TestVerifyClaimsContract:
         failed = sum("Fail" in line.split()[1:2] for line in lines if line and not line.startswith(" "))
         assert code == (1 if failed else 0)
         assert (cache_dir / "claims_quick.csv").exists()
+
+    def test_csv_format_prints_only_the_csv(self, capsys, cache_dir):
+        code = main(["--cache-dir", str(cache_dir), "--format", "csv", "verify-claims", "--level", "quick"])
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert rows[0] == ["claim", "status", "runtime_s", "anchor", "evidence"]
+        assert [row[0] for row in rows[1:]] == ["C1", "C2", "C3", "C4", "C5", "C6"]
+        assert all(len(row) == 5 for row in rows[1:])
+        assert code == 1 and [row[1] for row in rows[1:]].count("Fail") == 2  # C2 and C4
+        csv_path = cache_dir / "claims_quick.csv"
+        assert captured.err.strip() == f"csv report written to {csv_path}"
+        assert csv_path.read_text() == captured.out
 
     def test_claims_levels_validated(self, cache_dir):
         from totient_forge.claims import run_claims

@@ -86,11 +86,34 @@ class TestSearchPairR:
         (0, 2374, 16), (1, 23120, 91), (2, 3416, 14), (3, 3050, 11), (4, 620, 4),
     ])
     @pytest.mark.parametrize("parity", [Parity.ANY, Parity.EVEN_ONLY])
-    def test_pinned_witnesses_from_1e40(self, m, offset, tested, parity):
+    def test_pinned_witnesses_from_1e40(self, m, offset, tested, parity, monkeypatch):
+        lucas = primality._strong_lucas_composite
+        lucas_calls = []
+
+        def counting(n):
+            lucas_calls.append(n)
+            return lucas(n)
+
+        monkeypatch.setattr(primality, "_strong_lucas_composite", counting)
         a = 1 << (1 << m)
         task = PairSearchTask(a=a, b=a + 1, start=10**40, parity=parity)
         res = search_pair_r(task, use_cache=False)
         assert (res.r - 10**40, res.candidates_tested) == (offset, tested)
+        # the Lucas test runs only once both forms passed base 2: on the hit alone
+        assert lucas_calls == [res.p1, res.p2]
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_lucas_rejection_keeps_scanning(self, m, monkeypatch):
+        a = 1 << (1 << m)
+        task = PairSearchTask(a=a, b=a + 1, start=10**40, parity=Parity.EVEN_ONLY)
+        hit = search_pair_r(task, use_cache=False)
+        after = search_pair_r(PairSearchTask(a=a, b=a + 1, start=hit.r + 2, parity=Parity.EVEN_ONLY),
+                              use_cache=False)
+        lucas = primality._strong_lucas_composite
+        monkeypatch.setattr(primality, "_strong_lucas_composite", lambda n: n == hit.p2 or lucas(n))
+        res = search_pair_r(task, use_cache=False)
+        assert (res.r, res.verdicts) == (after.r, after.verdicts)
+        assert res.candidates_tested == hit.candidates_tested + after.candidates_tested
 
     def test_limit_exhausted(self):
         with pytest.raises(LimitExhausted):
