@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .primality import _TRIAL_PROVEN_LIMIT, is_probable_prime, primes_upto, spf_table
+from .primality import SPF_LIMIT, is_probable_prime, primes_upto, spf_table
 
 __all__ = [
     "DEFAULT_FACTORING_BOUND",
@@ -248,9 +248,9 @@ def factorize(n: int, hint: Factorization | None = None) -> Factorization:
         )
     exps: dict[int, int] = {}
     rem = n
-    if rem >= _TRIAL_PROVEN_LIMIT:
+    if rem >= SPF_LIMIT:
         rem = _divide_out(rem, primes_upto(_FIRST_PASS_LIMIT), exps)
-        if rem >= _TRIAL_PROVEN_LIMIT:
+        if rem >= SPF_LIMIT:
             # no factor <= 10**4 is left, so below 10**8 rem is prime
             if rem < _FIRST_PASS_LIMIT**2 or is_probable_prime(rem).is_prime:
                 exps[rem] = 1

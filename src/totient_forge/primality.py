@@ -23,6 +23,7 @@ __all__ = [
     "DETERMINISTIC_LIMIT",
     "PRESIEVE_BOUND",
     "SEGMENT_CANDIDATES",
+    "SPF_LIMIT",
     "Verdict",
     "PrimalityVerdict",
     "bpsw_confirm",
@@ -95,7 +96,7 @@ _TRIAL_PRIMES: list[int] = []
 _TRIAL_PRODUCT = 1
 # 1009 is the first prime above the trial primes (<= 997 < 1000), so an
 # n < 1009**2 that none of them divides has no factor <= sqrt(n): it is prime
-_TRIAL_PROVEN_LIMIT = 1009**2
+SPF_LIMIT = 1009**2
 _SPF: array | None = None
 
 
@@ -116,7 +117,7 @@ def spf_table() -> array:
     """
     global _SPF
     if _SPF is None:
-        table = array("H", [0]) * _TRIAL_PROVEN_LIMIT
+        table = array("H", [0]) * SPF_LIMIT
         cells = np.frombuffer(table, dtype=np.uint16)
         # descending, so the smallest prime writes each composite last
         for p in reversed(_trial_primes()):
@@ -157,7 +158,7 @@ def is_prime_small(n: int) -> PrimalityVerdict:
         raise ValueError("is_prime_small requires n < 2**64")
     if n < 2:
         return PrimalityVerdict(n, Verdict.COMPOSITE)
-    if n < _TRIAL_PROVEN_LIMIT:
+    if n < SPF_LIMIT:
         p = spf_table()[n]
         if p:
             return PrimalityVerdict(n, Verdict.COMPOSITE, p)
@@ -282,22 +283,6 @@ def is_probable_prime(n: int) -> PrimalityVerdict:
 # presieve for pair searches
 
 
-_presieve_cache: dict[int, list[int]] = {}
-
-
-def _presieve_primes(bound: int) -> list[int]:
-    if bound not in _presieve_cache:
-        _presieve_cache[bound] = primes_upto(bound).tolist()
-    return _presieve_cache[bound]
-
-
-# Prime lists at least this long take the array path; shorter ones the scalar
-# loop, whose cost per prime is lower but which cannot batch. The two met at
-# about 100-170 primes; solve's GHP searches sieve at most 41 primes and the
-# 10^5-bound searches 9,592.
-_ARRAY_MIN_PRIMES = 128
-
-
 def presieve(
     a: int,
     b: int,
@@ -320,49 +305,14 @@ def presieve(
     if count < 0 or count > SEGMENT_CANDIDATES:
         raise ValueError(f"presieve segment must have 0..{SEGMENT_CANDIDATES} candidates")
     mask = bytearray(b"\x01" * count)
-    if count == 0:
-        return mask
-    primes = _presieve_primes(bound)
-    if len(primes) < _ARRAY_MIN_PRIMES:
-        _strike_scalar(mask, a, b, start, step, primes)
-    else:
+    if count and bound >= 2:  # below 2 there is no sieving prime
         _strike_arrays(mask, a, b, start, step, primes_upto(bound))
     return mask
 
 
-def _strike_scalar(mask: bytearray, a: int, b: int, start: int, step: int, primes: list[int]) -> None:
-    count = len(mask)
-    last = start + (count - 1) * step
-    for q in primes:
-        for c in (a, b):
-            cq = c % q
-            if cq == 0:
-                continue  # c*r+1 is 1 mod q, never divisible
-            r0 = (q - pow(cq, -1, q)) % q
-            exempt = -1
-            if (q - 1) % c == 0:
-                r_eq = (q - 1) // c  # candidate whose form is q itself
-                if start <= r_eq <= last and (r_eq - start) % step == 0:
-                    exempt = (r_eq - start) // step
-            sq = step % q
-            if sq == 0:
-                if start % q == r0:
-                    prior = mask[exempt] if exempt >= 0 else 0
-                    mask[:] = b"\x00" * count
-                    if exempt >= 0:
-                        mask[exempt] = prior
-                continue
-            i0 = ((r0 - start) * pow(sq, -1, q)) % q
-            if i0 >= count:
-                continue
-            prior = mask[exempt] if exempt >= 0 else 0
-            mask[i0::q] = b"\x00" * ((count - i0 + q - 1) // q)
-            if exempt >= i0 and (exempt - i0) % q == 0:
-                mask[exempt] = prior
-
-
 def _strike_arrays(mask: bytearray, a: int, b: int, start: int, step: int, primes: np.ndarray) -> None:
-    """The scalar loop's strikes, computed for every prime at once.
+    """Clear every candidate whose a- or b-form has a sieving prime as a
+    proper divisor, computed for all the primes at once.
 
     Form c at candidate i is t + i*u (mod q) with t = c*start + 1 and
     u = c*step, so it is first divisible at i0 = -t/u (mod q) and then every

@@ -1,13 +1,13 @@
 """Minimal-witness search for r such that a*r+1 and b*r+1 are both prime.
 
 Candidates are scanned in increasing order in blocks that grow geometrically,
-each block presieved against small primes before any probable-prime test
-runs, so the first hit is the minimal r. A block sieves the primes up to
-min(PRESIEVE_BOUND, sqrt of its largest form): `presieve` strikes a short
-prime list one prime at a time and a long one (all 9,592 primes <= 10^5 once
-b*r passes 10^10) as arrays over the primes. The scan then jumps from
-survivor to survivor of the mask (under 1% of a 10^40..10^100 block) instead
-of visiting every candidate.
+so the first hit is the minimal r. A block whose forms are all below 1009**2
+is not presieved: `is_probable_prime` there is one lookup in the
+smallest-prime-factor table, as cheap as a strike. Any other block is
+presieved against the primes up to min(PRESIEVE_BOUND, sqrt of its largest
+form), all 9,592 primes <= 10^5 once b*r passes 10^10, and the scan jumps
+from survivor to survivor of the mask (under 1% of a 10^40..10^100 block)
+instead of visiting every candidate.
 
 A survivor is a hit when both forms pass `is_probable_prime`. Once a block's
 forms are all above 2**64, its two stages run form by form: the gcd with the
@@ -31,6 +31,7 @@ from .primality import (
     DETERMINISTIC_LIMIT,
     PRESIEVE_BOUND,
     SEGMENT_CANDIDATES,
+    SPF_LIMIT,
     PrimalityVerdict,
     Verdict,
     bpsw_confirm,
@@ -113,11 +114,15 @@ class PairSearchResult:
 
 
 def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
-    """Test one presieved block; return (result_or_None, tested count)."""
-    # sieving beyond sqrt(max candidate value) buys nothing
+    """Test one block; return (result_or_None, tested count)."""
     top = task.b * (block_start + (count - 1) * step) + 1
-    bound = max(3, min(PRESIEVE_BOUND, math.isqrt(top) + 1))
-    mask = presieve(task.a, task.b, block_start, count, step, bound)
+    if top < SPF_LIMIT:
+        # every form is one table lookup, which a strike would not undercut
+        mask = b"\x01" * count
+    else:
+        # sieving beyond sqrt(max candidate value) buys nothing
+        bound = min(PRESIEVE_BOUND, math.isqrt(top) + 1)
+        mask = presieve(task.a, task.b, block_start, count, step, bound)
     avoid = task.avoid_divisors_of
     # every form of the block is above 2**64 once its smallest one is
     two_stage = task.a * block_start + 1 >= DETERMINISTIC_LIMIT
@@ -172,8 +177,8 @@ def search_pair_r(
     result = None
     tested_total = 0
     # blocks grow geometrically so tiny searches stay tiny; below
-    # PRESIEVE_BOUND**2 a block's presieve bound is the isqrt of its top, so a
-    # short first block also sieves fewer primes
+    # PRESIEVE_BOUND**2 a short first block more often stays below 1009**2,
+    # where nothing is presieved, and otherwise sieves fewer primes
     block_start, count = first, 1 << 12
     if task.b * (first + count * step) + 1 < PRESIEVE_BOUND**2:
         count = 1 << 6

@@ -59,7 +59,7 @@ class TestIsPrimeSmall:
         # every n below 1009**2, where the verdict is a table lookup: primes
         # from sympy, and the witness of a composite is its smallest prime,
         # found by an ascending pass over the primes <= 997
-        limit = primality._TRIAL_PROVEN_LIMIT
+        limit = primality.SPF_LIMIT
         is_prime = np.zeros(limit, dtype=bool)
         is_prime[list(sympy.primerange(limit))] = True
         smallest = np.zeros(limit, dtype=np.int64)
@@ -173,37 +173,6 @@ class TestPresieve:
     def test_empty_range(self):
         assert presieve(2, 3, 1, 0) == bytearray()
 
-    def test_never_kills_prime_pairs(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            a = rng.randrange(1, 60)
-            b = a + rng.randrange(1, 40)
-            start = rng.randrange(1, 500)
-            mask = presieve(a, b, start, 256)
-            for i, alive in enumerate(mask):
-                r = start + i
-                if sympy.isprime(a * r + 1) and sympy.isprime(b * r + 1):
-                    assert alive, (a, b, r)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        a=st.integers(1, 64),
-        gap=st.integers(1, 64),
-        start=st.one_of(st.integers(1, 2000), st.integers(1, 10**12)),
-        count=st.integers(0, 300),
-        step=st.sampled_from((1, 2)),
-        bound=st.sampled_from((3, 97, 1000, PRESIEVE_BOUND)),
-    )
-    @example(a=2, gap=1, start=1, count=300, step=1, bound=PRESIEVE_BOUND)
-    def test_never_clears_a_prime_pair(self, a, gap, start, count, step, bound):
-        # small starts put forms equal to sieving primes inside the window
-        mask = presieve(a, a + gap, start, count, step, bound)
-        assert len(mask) == count
-        for i, alive in enumerate(mask):
-            r = start + i * step
-            if sympy.isprime(a * r + 1) and sympy.isprime((a + gap) * r + 1):
-                assert alive, (a, a + gap, r)
-
     def test_dead_candidates_really_composite(self):
         mask = presieve(4, 9, 5, 512, step=2)
         for i, alive in enumerate(mask):
@@ -237,9 +206,14 @@ class TestPresieve:
         start=st.one_of(st.integers(1, 300), st.integers(1, 10**100)),
         count=st.one_of(st.integers(0, 300), st.integers(0, 3000)),
         step=st.sampled_from((1, 2, 3, 6)),
-        # 709 is the 127th prime and 719 the 128th, either side of the path choice
-        bound=st.sampled_from((3, 97, 709, 719, 5000, PRESIEVE_BOUND)),
+        # prime lists from the 2 primes <= 3 to the 9,592 <= PRESIEVE_BOUND
+        bound=st.sampled_from((3, 97, 709, 719, 1000, 5000, PRESIEVE_BOUND)),
     )
+    # step 6: both primes <= 3 divide every u = c*step, so both take the flat
+    # path; start 1 puts forms equal to their own sieving prime in the window
+    @example(a=1, gap=1, start=1, count=64, step=6, bound=3)
+    @example(a=2, gap=4, start=1, count=300, step=1, bound=97)
+    @example(a=2, gap=1, start=1, count=300, step=1, bound=PRESIEVE_BOUND)
     @example(a=1, gap=1, start=1, count=3000, step=1, bound=5000)
     @example(a=2, gap=1, start=1, count=1200, step=6, bound=719)
     @example(a=16, gap=1, start=10**100, count=2048, step=2, bound=PRESIEVE_BOUND)

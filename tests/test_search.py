@@ -1,3 +1,4 @@
+import math
 import os
 import random
 
@@ -5,7 +6,7 @@ import pytest
 import sympy
 
 from totient_forge import primality, search
-from totient_forge.primality import Verdict, presieve
+from totient_forge.primality import PRESIEVE_BOUND, SPF_LIMIT, Verdict, presieve
 from totient_forge.search import (
     FERMAT_PRIMES,
     PAIR_WITNESS_TABLE,
@@ -33,6 +34,19 @@ def brute_force_r(a, b, start, parity=Parity.ANY, avoid=None, limit=10**6):
     raise AssertionError("oracle exhausted")
 
 
+# Searches whose minimal r has b*r + 1 >= 1009**2 and is reached after a block
+# whose forms are all below it (no presieve) and into or past a presieved one;
+# picked with brute_force_r from seeded starts just below SPF_LIMIT / b
+CROSSING = [
+    PairSearchTask(a=17, b=28, start=36050),
+    PairSearchTask(a=32, b=37, start=27416),
+    PairSearchTask(a=22, b=23, start=44103),
+    PairSearchTask(a=13, b=41, start=24530, parity=Parity.EVEN_ONLY),
+    PairSearchTask(a=43, b=47, start=21528, parity=Parity.EVEN_ONLY),
+    PairSearchTask(a=3, b=7, start=145300, parity=Parity.EVEN_ONLY),
+]
+
+
 class TestSearchPairR:
     def test_tiny(self):
         res = search_pair_r(PairSearchTask(a=2, b=3), use_cache=False)
@@ -44,12 +58,15 @@ class TestSearchPairR:
 
     def test_against_brute_force(self):
         rng = random.Random(424242)
+        tasks = []
         for _ in range(200):
             a = rng.randrange(1, 50)
             b = rng.randrange(a + 1, 51)
             start = rng.randrange(1, 101)
             parity = rng.choice([Parity.ANY, Parity.EVEN_ONLY])
-            task = PairSearchTask(a=a, b=b, start=start, parity=parity)
+            tasks.append(PairSearchTask(a=a, b=b, start=start, parity=parity))
+        for task in tasks + CROSSING:
+            a, b, start, parity = task.a, task.b, task.start, task.parity
             res = search_pair_r(task, use_cache=False)
             assert res.r == brute_force_r(a, b, start, parity)
             assert res.p1 == a * res.r + 1 and res.p2 == b * res.r + 1
@@ -64,15 +81,38 @@ class TestSearchPairR:
     ])
     def test_presieve_block_sizes(self, a, b, start, blocks, monkeypatch):
         counts = []
+        scan = search._scan_block
 
-        def recording(a_, b_, start_, count, *args):
+        def recording(task, block_start, count, step):
             counts.append(count)
-            return presieve(a_, b_, start_, count, *args)
+            return scan(task, block_start, count, step)
 
-        monkeypatch.setattr(search, "presieve", recording)
+        monkeypatch.setattr(search, "_scan_block", recording)
         res = search_pair_r(PairSearchTask(a=a, b=b, start=start), use_cache=False)
         assert res.r == brute_force_r(a, b, start)
         assert counts == blocks
+
+    def test_no_presieve_below_the_table(self, monkeypatch):
+        calls = []
+
+        def recording(a, b, start, count, step, bound):
+            calls.append((start, count, step, bound))
+            return presieve(a, b, start, count, step, bound)
+
+        monkeypatch.setattr(search, "presieve", recording)
+        # every form of the search (a*r+1, b*r+1 <= 211*1344+1) is a table lookup
+        assert search_pair_r(PairSearchTask(a=92, b=211), use_cache=False).r == 396
+        assert calls == []
+        for task in CROSSING:
+            calls.clear()
+            res = search_pair_r(task, use_cache=False)
+            assert res.r == brute_force_r(task.a, task.b, task.start, task.parity)
+            # the first block stays below the table, a later one is presieved
+            assert calls and calls[0][0] > task.start
+            for start, count, step, bound in calls:
+                top = task.b * (start + (count - 1) * step) + 1
+                assert top >= SPF_LIMIT
+                assert bound == min(PRESIEVE_BOUND, math.isqrt(top) + 1)
 
     def test_never_builds_the_small_prime_table(self, monkeypatch):
         # candidates above 2**64 never reach the table below 1009**2
