@@ -3,13 +3,17 @@
 Each claim re-derives one bundled numerical statement from scratch and
 compares against the frozen expectation. One table, _CLAIMS, gives each
 claim's level, anchor and runner: quick = C1..C6, full adds the C7
-enumeration sweep, extreme adds the C8 witness re-discovery.
+enumeration sweep, extreme adds the C8 witness re-discovery. run_claims
+runs a level's claims in a pool of forked processes and reports them in
+table order.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -224,8 +228,30 @@ CLAIM_IDS = tuple(_CLAIMS)
 LEVELS = tuple(dict.fromkeys(claim.level for claim in _CLAIMS.values()))
 
 
+def _run_claim(claim_id: str, cache_dir: Path) -> ClaimReport:
+    return _CLAIMS[claim_id].run(cache_dir)
+
+
 def run_claims(level: str, cache_dir: Path) -> list[ClaimReport]:
+    """Run the claims of `level` and return their reports in table order.
+
+    The claims share no state but the cache, whose writes are atomic, so
+    each runs in a pool of forked processes, min(usable CPUs, claims) of
+    them. Workers receive claim ids and look up the runner in their forked
+    copy of _CLAIMS. A runner's exception reaches the caller unchanged; a
+    worker that dies raises concurrent.futures.process.BrokenProcessPool.
+    """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {sorted(LEVELS)}")
+    # imported here: at module level they would slow every CLI start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     reach = LEVELS.index(level)
-    return [claim.run(cache_dir) for claim in _CLAIMS.values() if LEVELS.index(claim.level) <= reach]
+    ids = [cid for cid, claim in _CLAIMS.items() if LEVELS.index(claim.level) <= reach]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(min(cpus, len(ids)), mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_claim, ids, repeat(cache_dir)))

@@ -219,7 +219,14 @@ def cmd_search_r(args, cache_dir: Path) -> int:
 
 
 def cmd_verify_claims(args, cache_dir: Path) -> int:
-    reports = run_claims(args.level, cache_dir)
+    # imported here, as run_claims imports the pool: other commands never load it
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        reports = run_claims(args.level, cache_dir)
+    except BrokenProcessPool as exc:
+        print(f"error: a claim process died ({exc})", file=sys.stderr)
+        return 1
     failed = [r for r in reports if r.status == "Fail"]
     csv_text = "claim,status,runtime_s,anchor,evidence\n" + "\n".join(
         r.csv_row() for r in reports

@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -302,6 +307,37 @@ class TestVerifyClaimsContract:
         assert claims.run_claims("quick", cache_dir) == quick
         assert claims.run_claims("full", cache_dir) == quick + ["C7"]
         assert claims.run_claims("extreme", cache_dir) == quick + ["C7", "C8"]
+
+    def test_claim_exceptions_cross_the_pool_unchanged(self, capsys, cache_dir, monkeypatch):
+        def broken(d):
+            raise ValueError("broken claim")
+
+        table = {cid: claim._replace(run=lambda d, cid=cid: cid) for cid, claim in claims._CLAIMS.items()}
+        table["C3"] = table["C3"]._replace(run=broken)
+        monkeypatch.setattr(claims, "_CLAIMS", table)
+        with pytest.raises(ValueError, match="broken claim"):
+            claims.run_claims("quick", cache_dir)
+        assert multiprocessing.active_children() == []  # the pool joined its workers
+        code = main(["--cache-dir", str(cache_dir), "verify-claims", "--level", "quick"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: broken claim"
+
+    def test_a_dead_worker_fails_fast(self, tmp_path):
+        # in a child interpreter, so that a claim run in-process could not
+        # end the test run itself
+        child = f"""
+import os, sys
+from totient_forge import claims
+from totient_forge.cli import main
+claims._CLAIMS["C2"] = claims._CLAIMS["C2"]._replace(run=lambda d: os._exit(3))
+sys.exit(main(["--cache-dir", {str(tmp_path)!r}, "verify-claims", "--level", "quick"]))
+"""
+        src = str(Path(claims.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: a claim process died (")
 
     # a failing claim's hint names the lowest level that runs it; C2 and C4
     # fail as published, the others are made to fail here
