@@ -3,12 +3,20 @@ presieve or the scan keeps every answer.
 
     PYTHONPATH=src python scripts/search_digest.py
 
-Prints one sha256 over one line per search, `task|r|candidates_tested`, for
-the witness-search pool (perfbench/inputs.witness_pool_tasks: the Fermat
-pair task a = F_m - 1, b = F_m, even r, from 10^D + offset) and the five C8
-searches (the same tasks from 10^100, below 10^100 + 10^6). The candidate count
-changes when the presieve clears a different set, so equal digests mean
-equal masks on every block these searches scan, not only equal witnesses.
+Prints two sha256 digests, each over one line per search,
+`task|r|candidates_tested`:
+
+- the witness-search pool (perfbench/inputs.witness_pool_tasks: the Fermat
+  pair task a = F_m - 1, b = F_m, even r, from 10^D + offset) and the five C8
+  searches (the same tasks from 10^100, below 10^100 + 10^6);
+- searches whose forms stay below 2**64: blocks below 1009**2 (table
+  lookups only), presieved blocks whose forms can equal their own sieving
+  prime, presieved blocks in [1009**2, 2**64), and the avoid-list tasks
+  `solve` builds (from r = 1, avoiding the divisors of k).
+
+The candidate count changes when the presieve clears a different set, so
+equal digests mean equal masks on every block these searches scan, not only
+equal witnesses.
 
 Run it on two checkouts and compare. It takes a few seconds, runs without a
 cache and is kept out of the test suite.
@@ -23,7 +31,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench.inputs import witness_pool_tasks  # noqa: E402
-from totient_forge.search import PairSearchTask, fermat_pair_task, search_pair_r  # noqa: E402
+from totient_forge.search import (  # noqa: E402
+    PairSearchTask,
+    Parity,
+    fermat_pair_task,
+    search_pair_r,
+)
+
+# k = 2 * p1 * p2 * F_m, with p1, p2 the forms of the Fermat pair task's
+# first hit from r = 1, so every avoid-list search must skip that hit
+_AVOID_K = (2 * 5 * 7 * 3, 2 * 193 * 241 * 5, 2 * 97 * 103 * 17, 2 * 23041 * 23131 * 257,
+            2 * 14942209 * 14942437 * 65537)
 
 
 def tasks() -> list[PairSearchTask]:
@@ -32,14 +50,31 @@ def tasks() -> list[PairSearchTask]:
     return pool + c8
 
 
-def main() -> int:
+def small_tasks() -> list[PairSearchTask]:
+    """Searches whose forms stay below 2**64."""
+    below_table = [PairSearchTask(92, 211), PairSearchTask(1, 10**4)]
+    own_prime = [PairSearchTask(1, 10**5), PairSearchTask(2, 10**6)]
+    presieved = [fermat_pair_task(4, 10**6),
+                 PairSearchTask(4, 5, start=10**15, parity=Parity.EVEN_ONLY)]
+    presieved += [fermat_pair_task(m, 10**e) for m in range(5) for e in (10, 14)]
+    avoid = [fermat_pair_task(m, 1, avoid_divisors_of=k) for m, k in enumerate(_AVOID_K)]
+    return below_table + own_prime + presieved + avoid
+
+
+def digest(searches: list[PairSearchTask]) -> str:
     h = hashlib.sha256()
-    searches = tasks()
     for task in searches:
         result = search_pair_r(task, use_cache=False)
         line = f"{task.a}|{task.b}|{task.start}|{task.parity.value}|{task.limit}"
         h.update(f"{line}|{result.r}|{result.candidates_tested}\n".encode())
-    print(f"search: {len(searches)} lines, sha256 {h.hexdigest()}")
+    return h.hexdigest()
+
+
+def main() -> int:
+    searches = tasks()
+    print(f"search: {len(searches)} lines, sha256 {digest(searches)}")
+    small = small_tasks()
+    print(f"search below 2**64: {len(small)} lines, sha256 {digest(small)}")
     return 0
 
 

@@ -4,8 +4,9 @@ All values are plain Python ints (arbitrary precision). Factorizations are
 certified: every stored prime passes the probable-prime test, and huge inputs
 must arrive with a caller-supplied factorization instead of being factored
 blind. Blind factoring is capped at 10**18 (< 2**63, so numpy int64 trial
-division is exact); below 1009**2 it walks primality's smallest-prime-factor
-table.
+division by the primes <= 10**4 is exact); below 1009**2 it walks
+primality's smallest-prime-factor table, and Pollard rho splits what the
+trial division leaves.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_FACTORING_BOUND = 10**18
-# a cofactor with no prime factor <= _FIRST_PASS_LIMIT is prime below its
-# square; composite cofactors are cleared of factors <= _TRIAL_DIVISION_LIMIT
-# before rho
+# a cofactor with no prime factor <= _FIRST_PASS_LIMIT is prime below its square
 _FIRST_PASS_LIMIT = 10**4
-_TRIAL_DIVISION_LIMIT = 10**6
 
 
 class FactoringBoundExceeded(ValueError):
@@ -210,27 +208,27 @@ def _divide_out(rem: int, primes: np.ndarray, exps: dict[int, int]) -> int:
     return rem
 
 
-def _factor_into(n: int, out: dict[int, int], rng: random.Random, composite: bool = False) -> None:
-    """Add the primes of n > 1, which has none <= 10**6, to out.
+def _factor_into(n: int, out: dict[int, int]) -> None:
+    """Add the primes of n > 1, which has none <= 10**4, to out.
 
-    Below 10**12 such an n is prime. With composite=True, n is known to be
-    composite and is not tested again.
+    Below 10**8 such an n is prime; above, it is tested once.
     """
-    if not composite and (n < _TRIAL_DIVISION_LIMIT**2 or is_probable_prime(n).is_prime):
+    if n < _FIRST_PASS_LIMIT**2 or is_probable_prime(n).is_prime:
         out[n] = out.get(n, 0) + 1
         return
-    d = _pollard_brent(n, rng)
-    _factor_into(d, out, rng)
-    _factor_into(n // d, out, rng)
+    # seeded by n, so the split is reproducible
+    d = _pollard_brent(n, random.Random(n))
+    _factor_into(d, out)
+    _factor_into(n // d, out)
 
 
 def factorize(n: int, hint: Factorization | None = None) -> Factorization:
     """Exact factorization of n >= 1.
 
     Below 1009**2, a walk through the smallest-prime-factor table. Above, one
-    vectorised division by the primes <= 10**4; a cofactor left at 10**8 or
-    more is tested for primality once, and a composite one is cleared of the
-    primes <= 10**6 and split by Pollard rho (Brent). Above
+    vectorised division by the primes <= 10**4; a cofactor left at 1009**2 or
+    more is prime below 10**8, else tested for primality once, and a
+    composite one is split by Pollard rho (Brent). Above
     DEFAULT_FACTORING_BOUND a caller-supplied factorization is mandatory and
     is verified before being trusted.
     """
@@ -251,13 +249,7 @@ def factorize(n: int, hint: Factorization | None = None) -> Factorization:
     if rem >= SPF_LIMIT:
         rem = _divide_out(rem, primes_upto(_FIRST_PASS_LIMIT), exps)
         if rem >= SPF_LIMIT:
-            # no factor <= 10**4 is left, so below 10**8 rem is prime
-            if rem < _FIRST_PASS_LIMIT**2 or is_probable_prime(rem).is_prime:
-                exps[rem] = 1
-            else:
-                rest = _divide_out(rem, primes_upto(_TRIAL_DIVISION_LIMIT), exps)
-                if rest > 1:
-                    _factor_into(rest, exps, random.Random(n), composite=rest == rem)
+            _factor_into(rem, exps)
             rem = 1
     while rem > 1:  # rem < 1009**2 here
         p = spf_table()[rem] or rem

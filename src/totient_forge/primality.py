@@ -2,12 +2,14 @@
 
 Verdict policy: below 2**64 the answer is deterministic; above, a strong
 base-2 test plus a strong Lucas test decide, and passing numbers are reported
-as ProbablePrime, never Prime. Below 1009**2 the verdict is one lookup in a
+as ProbablePrime, never Prime. Every n takes the same two stages. `screen`
+rejects most composites cheaply: below 1009**2 it is one lookup in a
 smallest-prime-factor table (uint16, ~2 MB, built on the first such query);
-from there to 2**64, trial division by the primes <= 997 and then a fixed
-strong-pseudoprime base set decide; above 2**64 one gcd with the product of
-the primes <= 997 stands in for their trial division. A Composite verdict
-found by a factor carries the smallest prime factor as its witness either way.
+above, one gcd with the product of the primes <= 997 and then the strong
+base-2 test. `confirm` settles what the screen passed: Prime below 1009**2,
+the strong-pseudoprime bases 3..37 below 2**64, the strong Lucas test above.
+A Composite verdict found by a factor carries the smallest prime factor as
+its witness.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ __all__ = [
     "SPF_LIMIT",
     "Verdict",
     "PrimalityVerdict",
-    "bpsw_confirm",
-    "bpsw_screen",
+    "confirm",
     "is_prime_small",
     "is_probable_prime",
     "primes_upto",
     "presieve",
+    "screen",
     "spf_table",
 ]
 
@@ -39,8 +41,9 @@ DETERMINISTIC_LIMIT = 1 << 64
 PRESIEVE_BOUND = 100_000
 SEGMENT_CANDIDATES = 1 << 20
 
-# Strong-pseudoprime bases covering every n < 3.3 * 10**24 (> 2**64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# With base 2 (the screen's), strong-pseudoprime bases covering every
+# n < 3.3 * 10**24 (> 2**64).
+_CONFIRM_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class Verdict(Enum):
@@ -53,9 +56,9 @@ class Verdict(Enum):
 class PrimalityVerdict:
     """Outcome of a primality test.
 
-    For Composite results the witness is a nontrivial divisor when one was
-    found by trial division, or a Miller-Rabin base that exposes n (None for
-    the 0/1 convention and for Lucas-only rejections).
+    For Composite results the witness is the smallest prime factor when the
+    table or the trial-prime gcd found one, or a Miller-Rabin base that
+    exposes n (None for the 0/1 convention and for Lucas-only rejections).
     """
 
     value: int
@@ -152,27 +155,6 @@ def _mr_composite(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def is_prime_small(n: int) -> PrimalityVerdict:
-    """Deterministic verdict for n < 2**64 (a table lookup below 1009**2)."""
-    if n >= DETERMINISTIC_LIMIT:
-        raise ValueError("is_prime_small requires n < 2**64")
-    if n < 2:
-        return PrimalityVerdict(n, Verdict.COMPOSITE)
-    if n < SPF_LIMIT:
-        p = spf_table()[n]
-        if p:
-            return PrimalityVerdict(n, Verdict.COMPOSITE, p)
-        return PrimalityVerdict(n, Verdict.PRIME)
-    for p in _trial_primes():
-        if n % p == 0:
-            return PrimalityVerdict(n, Verdict.COMPOSITE, p)
-    d, s = _decompose(n)
-    for a in _MR_BASES:
-        if _mr_composite(n, a, d, s):
-            return PrimalityVerdict(n, Verdict.COMPOSITE, a)
-    return PrimalityVerdict(n, Verdict.PRIME)
-
-
 # ---------------------------------------------------------------------------
 # strong Lucas test (Selfridge parameters)
 
@@ -240,12 +222,18 @@ def _strong_lucas_composite(n: int) -> bool:
     return True
 
 
-def bpsw_screen(n: int) -> PrimalityVerdict | None:
-    """First stage of the test above 2**64: the Composite verdict of the
-    trial-prime gcd or the strong base-2 test, or None when n passes both.
+def screen(n: int) -> PrimalityVerdict | None:
+    """First stage of the test: the Composite verdict of the table lookup
+    (n < 1009**2) or of the trial-prime gcd and the strong base-2 test, or
+    None when n passes.
 
-    Needs n >= 2**64. A None must be settled by `bpsw_confirm(n)`.
+    A None must be settled by `confirm(n)`.
     """
+    if n < SPF_LIMIT:
+        if n < 2:
+            return PrimalityVerdict(n, Verdict.COMPOSITE)
+        p = spf_table()[n]
+        return PrimalityVerdict(n, Verdict.COMPOSITE, p) if p else None
     trial = _trial_primes()
     # one gcd with the primes' product rules them all out (3.4 against
     # 16.6 us of trial division at 333 bits); scan them only to name the
@@ -259,24 +247,38 @@ def bpsw_screen(n: int) -> PrimalityVerdict | None:
     return None
 
 
-def bpsw_confirm(n: int) -> PrimalityVerdict:
-    """Second stage, for an n that `bpsw_screen` passed: the strong Lucas test."""
+def confirm(n: int) -> PrimalityVerdict:
+    """Second stage, for an n that `screen` passed: Prime below 1009**2, the
+    remaining strong-pseudoprime bases below 2**64, the strong Lucas test above.
+    """
+    if n < SPF_LIMIT:
+        return PrimalityVerdict(n, Verdict.PRIME)
+    if n < DETERMINISTIC_LIMIT:
+        d, s = _decompose(n)
+        for a in _CONFIRM_BASES:
+            if _mr_composite(n, a, d, s):
+                return PrimalityVerdict(n, Verdict.COMPOSITE, a)
+        return PrimalityVerdict(n, Verdict.PRIME)
     if _strong_lucas_composite(n):
         return PrimalityVerdict(n, Verdict.COMPOSITE)
     return PrimalityVerdict(n, Verdict.PROBABLE_PRIME)
 
 
 def is_probable_prime(n: int) -> PrimalityVerdict:
-    """Best available verdict for any n >= 0.
+    """Best available verdict for any n >= 0: `screen`, then `confirm`.
 
-    Delegates to the deterministic test below 2**64; above, combines a
-    strong base-2 test with a strong Lucas test (no counterexample to the
-    combination is known): `bpsw_screen`, then `bpsw_confirm`.
+    Deterministic below 2**64; above, a strong base-2 test combined with a
+    strong Lucas test (no counterexample to the combination is known).
     """
-    if n < DETERMINISTIC_LIMIT:
-        return is_prime_small(n)
-    screened = bpsw_screen(n)
-    return screened if screened is not None else bpsw_confirm(n)
+    screened = screen(n)
+    return screened if screened is not None else confirm(n)
+
+
+def is_prime_small(n: int) -> PrimalityVerdict:
+    """Deterministic verdict for n < 2**64 (a table lookup below 1009**2)."""
+    if n >= DETERMINISTIC_LIMIT:
+        raise ValueError("is_prime_small requires n < 2**64")
+    return is_probable_prime(n)
 
 
 # ---------------------------------------------------------------------------

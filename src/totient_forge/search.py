@@ -9,12 +9,13 @@ form), all 9,592 primes <= 10^5 once b*r passes 10^10, and the scan jumps
 from survivor to survivor of the mask (under 1% of a 10^40..10^100 block)
 instead of visiting every candidate.
 
-A survivor is a hit when both forms pass `is_probable_prime`. Once a block's
-forms are all above 2**64, its two stages run form by form: the gcd with the
-trial primes' product and the strong base-2 test on a*r+1, then on b*r+1, and
-only when both pass, the strong Lucas test on each. Most survivors fail base 2
-on one form, so the Lucas test (three to four base-2 tests' cost) runs almost
-only on the hit. Below 2**64 each form takes `is_probable_prime` whole.
+A survivor is a hit when both forms pass `is_probable_prime`, whose two
+stages run form by form: `screen` (a table lookup below 1009**2, else the gcd
+with the trial primes' product and the strong base-2 test) on a*r+1, then on
+b*r+1, and only when both pass, `confirm` on each (the bases 3..37 below
+2**64, the strong Lucas test above). Most survivors fail the screen on one
+form, so the confirm stage (the Lucas test costs three to four base-2 tests)
+runs almost only on the hit.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ from pathlib import Path
 
 from .config import default_cache_dir, write_text_atomic
 from .primality import (
-    DETERMINISTIC_LIMIT,
     PRESIEVE_BOUND,
     SEGMENT_CANDIDATES,
     SPF_LIMIT,
     PrimalityVerdict,
     Verdict,
-    bpsw_confirm,
-    bpsw_screen,
+    confirm,
     is_probable_prime,
     presieve,
+    screen,
 )
 
 __all__ = [
@@ -124,8 +124,6 @@ def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
         bound = min(PRESIEVE_BOUND, math.isqrt(top) + 1)
         mask = presieve(task.a, task.b, block_start, count, step, bound)
     avoid = task.avoid_divisors_of
-    # every form of the block is above 2**64 once its smallest one is
-    two_stage = task.a * block_start + 1 >= DETERMINISTIC_LIMIT
     tested = 0
     i = -1
     while (i := mask.find(1, i + 1)) >= 0:
@@ -135,20 +133,14 @@ def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
         if avoid is not None and (avoid % p1 == 0 or avoid % p2 == 0):
             continue
         tested += 1
-        if two_stage:
-            # both forms take the gcd and the base-2 test before either
-            # takes the Lucas test, which costs three to four base-2 tests
-            if bpsw_screen(p1) is not None or bpsw_screen(p2) is not None:
-                continue
-            v1 = bpsw_confirm(p1)
-            if v1.verdict is Verdict.COMPOSITE:
-                continue
-            v2 = bpsw_confirm(p2)
-        else:
-            v1 = is_probable_prime(p1)
-            if v1.verdict is Verdict.COMPOSITE:
-                continue
-            v2 = is_probable_prime(p2)
+        # both forms take the screen before either is confirmed: confirming
+        # a prime costs eleven base-2 tests below 2**64, three to four above
+        if screen(p1) is not None or screen(p2) is not None:
+            continue
+        v1 = confirm(p1)
+        if v1.verdict is Verdict.COMPOSITE:
+            continue
+        v2 = confirm(p2)
         if v2.verdict is Verdict.COMPOSITE:
             continue
         return PairSearchResult(r, p1, p2, (v1, v2), tested), tested

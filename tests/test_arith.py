@@ -125,7 +125,7 @@ class TestFactorize:
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
     # the table walk, the first pass with a prime or 1 left, a cofactor
-    # tested once, and the 10**6 pass plus rho
+    # tested once, and rho
     @pytest.mark.parametrize("lo, hi, count", [
         (1, 1009**2, 3000),
         (1009**2, 10**8, 1000),
@@ -146,6 +146,15 @@ class TestFactorize:
         2**59,
         9973 * 999_983,                   # p <= 10**4 < q <= 10**6
         9973 * 999_983 * 1_000_003,
+        10007 * 1_000_000_007,            # 10**4 < p <= 10**6 < q
+        10007 * 99_930_048_965_713,
+        999_983 * 999_999_999_989,
+        10007**2,                         # p**2, p > 10**4
+        999_983**2,
+        999_999_937**2,
+        10007 * 10009 * 10037,            # three primes > 10**4
+        99991 * 999_983 * 9_999_991,
+        10007**2 * 1_000_003,
         1009**2 - 1, 1009**2, 1009 * 1013,
         2**40 * 3**10,
         10**18,

@@ -12,12 +12,15 @@ from totient_forge import primality
 from totient_forge.primality import (
     DETERMINISTIC_LIMIT,
     PRESIEVE_BOUND,
+    PrimalityVerdict,
     Verdict,
     _mr_composite,
+    confirm,
     is_prime_small,
     is_probable_prime,
     presieve,
     primes_upto,
+    screen,
 )
 
 
@@ -107,6 +110,23 @@ class TestIsProbablePrime:
     def test_strong_base2_pseudoprimes_rejected(self):
         for n in [2047, 3277, 4033, 4681, 8321, 15841, 29341]:
             assert not is_probable_prime(n).is_prime
+
+    # below 2**64, strong pseudoprimes to base 2 and to every base of 3..37
+    # below the witness
+    @pytest.mark.parametrize("n,witness", [
+        (2152302898747, 13),
+        (3474749660383, 17),
+        (341550071728321, 23),
+        (3825123056546413051, 37),
+    ])
+    def test_base2_pseudoprimes_pass_the_screen(self, n, witness):
+        assert screen(n) is None
+        assert confirm(n) == PrimalityVerdict(n, Verdict.COMPOSITE, witness)
+
+    def test_screen_names_the_smallest_trial_prime(self):
+        # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5 and 7
+        n = 3215031751
+        assert screen(n) == PrimalityVerdict(n, Verdict.COMPOSITE, 151)
 
     def test_lucas_matches_published_pseudoprime_list(self):
         from totient_forge.primality import _strong_lucas_composite

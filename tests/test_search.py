@@ -142,6 +142,19 @@ class TestSearchPairR:
         # the Lucas test runs only once both forms passed base 2: on the hit alone
         assert lucas_calls == [res.p1, res.p2]
 
+    def test_confirms_only_the_hit_below_2_64(self, monkeypatch):
+        # forms below 2**64: of the 14 candidates tested, 3 pass the screen
+        # on a*r+1 only, and only the hit's two forms reach confirm
+        screen, confirm = search.screen, search.confirm
+        screened, confirmed = [], []
+        monkeypatch.setattr(search, "screen", lambda n: screened.append(n) or screen(n))
+        monkeypatch.setattr(search, "confirm", lambda n: confirmed.append(n) or confirm(n))
+        res = search_pair_r(fermat_pair_task(4, 10**14), use_cache=False)
+        assert (res.r - 10**14, res.candidates_tested) == (6008, 14)
+        assert res.p2 < 2**64
+        assert len(screened) == 14 + 3 + 1
+        assert confirmed == [res.p1, res.p2]
+
     @pytest.mark.parametrize("m", range(5))
     def test_lucas_rejection_keeps_scanning(self, m, monkeypatch):
         a = 1 << (1 << m)
