@@ -18,14 +18,20 @@ The candidate count changes when the presieve clears a different set, so
 equal digests mean equal masks on every block these searches scan, not only
 equal witnesses.
 
-Run it on two checkouts and compare. It takes a few seconds, runs without a
-cache and is kept out of the test suite.
+Both digests come from uncached searches. Then both task lists run twice on
+one fresh temporary cache, a pass of misses and a pass of hits, and the
+script exits 1 unless each pass gives the same two digests: a cache hit must
+return what its miss returned, `candidates_tested` included.
+
+Run it on two checkouts and compare. It takes a few seconds and is kept out
+of the test suite.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -61,20 +67,27 @@ def small_tasks() -> list[PairSearchTask]:
     return below_table + own_prime + presieved + avoid
 
 
-def digest(searches: list[PairSearchTask]) -> str:
+def digest(searches: list[PairSearchTask], cache_dir: str | None = None) -> str:
+    """The digest of the searches, run on `cache_dir`, or uncached without one."""
     h = hashlib.sha256()
     for task in searches:
-        result = search_pair_r(task, use_cache=False)
+        result = search_pair_r(task, cache_dir=cache_dir, use_cache=cache_dir is not None)
         line = f"{task.a}|{task.b}|{task.start}|{task.parity.value}|{task.limit}"
         h.update(f"{line}|{result.r}|{result.candidates_tested}\n".encode())
     return h.hexdigest()
 
 
 def main() -> int:
-    searches = tasks()
-    print(f"search: {len(searches)} lines, sha256 {digest(searches)}")
-    small = small_tasks()
-    print(f"search below 2**64: {len(small)} lines, sha256 {digest(small)}")
+    searches, small = tasks(), small_tasks()
+    uncached = [digest(searches), digest(small)]
+    print(f"search: {len(searches)} lines, sha256 {uncached[0]}")
+    print(f"search below 2**64: {len(small)} lines, sha256 {uncached[1]}")
+    with tempfile.TemporaryDirectory() as cache:
+        for label in ("miss", "hit"):
+            cached = [digest(searches, cache), digest(small, cache)]
+            if cached != uncached:
+                print(f"error: the cached {label} pass gives other digests: {cached}")
+                return 1
     return 0
 
 

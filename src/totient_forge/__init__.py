@@ -24,8 +24,6 @@ from .constructions import (
     Solution,
     construct_fermat_m1,
     construct_fermat_m2,
-    construct_ghp_m1,
-    construct_ghp_m2,
     construct_makowski,
     construct_prop_double_prime,
     construct_prop_phi_pair,
@@ -39,7 +37,6 @@ from .primality import (
     DETERMINISTIC_LIMIT,
     PrimalityVerdict,
     Verdict,
-    is_prime_small,
     is_probable_prime,
     presieve,
 )

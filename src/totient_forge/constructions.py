@@ -2,9 +2,9 @@
 
 Every constructor derives the factorizations of n and n+k symbolically from
 the factorization of k and the witness data, evaluates both totients exactly,
-and only then returns a Solution. Nothing is ever reported unverified. All
-families but the GHP witnesses give n = num*k/den and n+k = (num+den)*k/den,
-built and certified by one builder, _ratio.
+and only then returns a Solution. Nothing is ever reported unverified. Every
+family gives n = num*k/den and n+k = (num+den)*k/den, built and certified by
+one builder, _ratio.
 
 k's factorization is certified once, at the public entry point (solve,
 solve_even_m2 or a construct_* function); the private builders behind them
@@ -44,7 +44,6 @@ __all__ = [
     "AllTermsDivideK",
     "CannotVerify",
     "FermatWitness",
-    "GhpWitness",
     "PropWitness",
     "SeqWitness",
     "RatioWitness",
@@ -53,8 +52,6 @@ __all__ = [
     "construct_fermat_m2",
     "construct_seq_solution",
     "solve_even_m2",
-    "construct_ghp_m1",
-    "construct_ghp_m2",
     "construct_prop_double_prime",
     "construct_prop_phi_pair",
     "verify_solution",
@@ -100,8 +97,6 @@ class Method(Enum):
     FERMAT_CASE2 = "FermatCase2"
     SEQ_HASANALIZADE = "SeqHasanalizade"
     SEQ_NEW = "SeqNew"
-    GHP_M1 = "GhpM1"
-    GHP_M2 = "GhpM2"
     PROP_DOUBLE_PRIME = "PropDoublePrime"
     PROP_PHI_PAIR = "PropPhiPair"
 
@@ -115,16 +110,6 @@ class FermatWitness:
     def label(self) -> str:
         r = "" if self.r is None else f",r={self.r}"
         return f"m={self.m},case={self.case}{r}"
-
-
-@dataclass(frozen=True)
-class GhpWitness:
-    j: int
-    g: int
-    r: int
-
-    def label(self) -> str:
-        return f"j={self.j},g={self.g},r={self.r}"
 
 
 @dataclass(frozen=True)
@@ -198,16 +183,6 @@ def _k_fact(k: int, k_fact: Factorization | None) -> Factorization:
     return factorize(k, hint=k_fact)
 
 
-def _certify(k, M, n, method: Method, witness, fact_n, fact_nk,
-             error=InvalidWitness) -> Solution:
-    if fact_n.value != n or fact_nk.value != n + k:
-        raise error(f"derived factorizations do not reproduce n={n}, n+k={n + k}")
-    if fact_nk.totient() != M * fact_n.totient():
-        raise error(f"n={n} does not satisfy totient(n+k) = {M}*totient(n) for k={k}")
-    return Solution(k, M, n, method.value, (witness,) if witness is not None else (),
-                    fact_n, fact_nk)
-
-
 def _ratio(k, kf, M, num_f, den, sum_f, method: Method, witness,
            error=InvalidWitness) -> Solution:
     """Certified n = num*k/den with n+k = (num+den)*k/den, from factorizations
@@ -215,8 +190,14 @@ def _ratio(k, kf, M, num_f, den, sum_f, method: Method, witness,
     if k % den:
         raise error(f"{den} does not divide k={k}")
     base = kf.div_exact(den)
-    return _certify(k, M, num_f.value * k // den, method, witness,
-                    base.times(num_f), base.times(sum_f), error)
+    n = num_f.value * k // den
+    fact_n, fact_nk = base.times(num_f), base.times(sum_f)
+    if fact_n.value != n or fact_nk.value != n + k:
+        raise error(f"derived factorizations do not reproduce n={n}, n+k={n + k}")
+    if fact_nk.totient() != M * fact_n.totient():
+        raise error(f"n={n} does not satisfy totient(n+k) = {M}*totient(n) for k={k}")
+    return Solution(k, M, n, method.value, (witness,) if witness is not None else (),
+                    fact_n, fact_nk)
 
 
 def _prime(p: int) -> Factorization:
@@ -389,71 +370,6 @@ def _seq_solution_with_retry(k, kf, variant, cache_dir) -> Solution:
             if bound >= 2 * 10**7:
                 raise
             bound *= 100
-
-
-# ---------------------------------------------------------------------------
-# Graham-Holt-Pomerance style constructions
-
-
-def construct_ghp_m1(k: int, j: int, r: int,
-                     k_fact: Factorization | None = None) -> Solution:
-    """n = j*((j+k)/g * r + 1) where j and j+k share their prime set.
-
-    Requires g = gcd(j, j+k) and both j/g*r+1 and (j+k)/g*r+1 prime, neither
-    dividing j.
-    """
-    kf = _k_fact(k, k_fact)
-    if k % 2:
-        raise NotApplicable("even k required")
-    if j < 1 or r < 1:
-        raise InvalidWitness("j and r must be >= 1")
-    fact_j = factorize(j)
-    fact_jk = factorize(j + k)
-    if fact_j.radical() != fact_jk.radical():
-        raise InvalidWitness(f"j={j} and j+k={j + k} have different prime sets")
-    g = gcd(j, j + k)
-    q1 = j // g * r + 1
-    q2 = (j + k) // g * r + 1
-    for q in (q1, q2):
-        if not is_probable_prime(q).is_prime:
-            raise InvalidWitness(f"{q} is not prime for witness (j={j}, r={r})")
-        if j % q == 0:
-            raise InvalidWitness(f"witness prime {q} divides j={j}")
-    n = j * q2
-    return _certify(k, 1, n, Method.GHP_M1, GhpWitness(j, g, r),
-                    fact_j.times_prime(q2), fact_jk.times_prime(q1))
-
-
-def construct_ghp_m2(k: int, j: int, r: int,
-                     k_fact: Factorization | None = None) -> Solution:
-    """n = 2j*((2j+k)/g * r + 1) for odd k, where j and 2j+k share their prime set.
-
-    Requires g = gcd(j, 2j+k) and both 2j/g*r+1 and (2j+k)/g*r+1 prime and
-    coprime to k. The primes must also avoid 2j and 2j+k themselves (implicit
-    in the formula; checked).
-    """
-    kf = _k_fact(k, k_fact)
-    if k % 2 == 0:
-        raise NotApplicable("odd k required")
-    if j < 1 or r < 1:
-        raise InvalidWitness("j and r must be >= 1")
-    fact_j = factorize(j)
-    fact_2jk = factorize(2 * j + k)
-    if fact_j.radical() != fact_2jk.radical():
-        raise InvalidWitness(f"j={j} and 2j+k={2 * j + k} have different prime sets")
-    g = gcd(j, 2 * j + k)
-    q1 = 2 * j // g * r + 1
-    q2 = (2 * j + k) // g * r + 1
-    for q in (q1, q2):
-        if not is_probable_prime(q).is_prime:
-            raise InvalidWitness(f"{q} is not prime for witness (j={j}, r={r})")
-        if gcd(q, k) != 1:
-            raise InvalidWitness(f"witness prime {q} is not coprime to k")
-        if (2 * j) % q == 0 or (2 * j + k) % q == 0:
-            raise InvalidWitness(f"witness prime {q} divides a factor of the formula")
-    n = 2 * j * q2
-    return _certify(k, 2, n, Method.GHP_M2, GhpWitness(j, g, r),
-                    fact_j.times_prime(2).times_prime(q2), fact_2jk.times_prime(q1))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "Verdict",
     "PrimalityVerdict",
     "confirm",
-    "is_prime_small",
     "is_probable_prime",
     "primes_upto",
     "presieve",
@@ -272,13 +271,6 @@ def is_probable_prime(n: int) -> PrimalityVerdict:
     """
     screened = screen(n)
     return screened if screened is not None else confirm(n)
-
-
-def is_prime_small(n: int) -> PrimalityVerdict:
-    """Deterministic verdict for n < 2**64 (a table lookup below 1009**2)."""
-    if n >= DETERMINISTIC_LIMIT:
-        raise ValueError("is_prime_small requires n < 2**64")
-    return is_probable_prime(n)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .config import default_cache_dir, write_text_atomic
+from .config import default_cache_dir, read_record, write_record
 from .primality import (
     PRESIEVE_BOUND,
     SEGMENT_CANDIDATES,
@@ -159,10 +159,15 @@ def search_pair_r(
         first += 1
     limit = task.limit if task.limit is not None else first + DEFAULT_CANDIDATE_BUDGET * step
 
-    cacheable = use_cache and task.avoid_divisors_of is None
-    cache_path = _cache_path(cache_dir, task) if cacheable else None
-    if cache_path is not None:
-        cached = _load_cached(cache_path, task, limit)
+    cache_path = None
+    if use_cache and task.avoid_divisors_of is None:
+        # the limit is part of the key: cutting a block short can leave it
+        # below 1009**2, unpresieved, which changes the candidates tested
+        key = f"{task.a}|{task.b}|{task.start}|{task.parity.value}|{limit}"
+        root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
+        cache_path = root / "pair_search" / f"{digest}.txt"
+        cached = _load_cached(cache_path, key, task, limit)
         if cached is not None:
             return cached
 
@@ -185,60 +190,38 @@ def search_pair_r(
 
     if result is None:
         raise LimitExhausted(f"no qualifying r in [{first}, {limit}) for a={task.a}, b={task.b}")
-    result = PairSearchResult(
-        result.r, result.p1, result.p2, result.verdicts, tested_total
-    )
+    result = PairSearchResult(result.r, result.p1, result.p2, result.verdicts, tested_total)
     if cache_path is not None:
-        _store_cached(cache_path, task, result)
+        verdicts = [v.verdict.value for v in result.verdicts]
+        write_record(cache_path, key, [str(result.r), *verdicts, str(tested_total)])
     return result
 
 
 # ---------------------------------------------------------------------------
-# result cache: one file per (a, b, start, parity) key
+# result cache: one record per (a, b, start, parity, limit) key, whose body is
+# r, both verdicts and the candidates tested
 
 
-def _cache_path(cache_dir: Path | str | None, task: PairSearchTask) -> Path:
-    root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    key = f"{task.a}|{task.b}|{task.start}|{task.parity.value}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return root / "pair_search" / f"{digest}.txt"
-
-
-def _store_cached(path: Path, task: PairSearchTask, result: PairSearchResult) -> None:
-    lines = [
-        str(task.a),
-        str(task.b),
-        str(task.start),
-        task.parity.value,
-        str(result.r),
-        result.verdicts[0].verdict.value,
-        result.verdicts[1].verdict.value,
-    ]
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _load_cached(path: Path, task: PairSearchTask, limit: int) -> PairSearchResult | None:
-    """The cached witness, or None when absent, corrupt, or at or beyond `limit`."""
-    if not path.exists():
-        return None
+def _load_cached(path: Path, key: str, task: PairSearchTask, limit: int) -> PairSearchResult | None:
+    """The cached result, or None when absent or corrupt."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        a, b, start, parity, r = int(lines[0]), int(lines[1]), int(lines[2]), lines[3], int(lines[4])
-        if (a, b, start, parity) != (task.a, task.b, task.start, task.parity.value):
-            raise ValueError("key mismatch")
-        if r >= limit:
-            # the key omits the limit; the uncached scan would give up first
+        body = read_record(path, key)
+        if body is None:
             return None
-        if r < task.start or (task.parity is Parity.EVEN_ONLY and r % 2):
+        r_line, verdict1, verdict2, tested_line = body
+        r, tested = int(r_line), int(tested_line)
+        if not task.start <= r < limit or (task.parity is Parity.EVEN_ONLY and r % 2):
             raise ValueError("cached r violates the task")
-        v1 = is_probable_prime(a * r + 1)
-        v2 = is_probable_prime(b * r + 1)
-        if v1.verdict.value != lines[5] or v2.verdict.value != lines[6]:
+        if tested < 1:
+            raise ValueError("a scan tests at least its hit")
+        p1, p2 = task.a * r + 1, task.b * r + 1
+        v1, v2 = is_probable_prime(p1), is_probable_prime(p2)
+        if v1.verdict.value != verdict1 or v2.verdict.value != verdict2:
             raise ValueError("cached verdicts no longer reproduce")
         if not (v1.is_prime and v2.is_prime):
             raise ValueError("cached r is not a witness")
-        return PairSearchResult(r, a * r + 1, b * r + 1, (v1, v2), 0)
-    except (ValueError, IndexError) as exc:
+        return PairSearchResult(r, p1, p2, (v1, v2), tested)
+    except ValueError as exc:
         log.warning("discarding corrupt search cache %s (%s)", path, exc)
         return None
 

@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 
 from .arith import Factorization, iter_divisors, star_divides
-from .config import default_cache_dir, write_text_atomic
+from .config import default_cache_dir, read_record, write_record
 from .primality import is_probable_prime
 
 __all__ = [
@@ -117,10 +117,11 @@ def generate_sequence(
     if key in _memo:
         return _memo[key]
     path = cache_dir / "sequences" / f"{variant.value}_{bound}.txt"
-    seq = _load_cached(path, variant, bound)
+    record_key = f"{variant.value} {bound}"
+    seq = _load_cached(path, record_key, variant, bound)
     if seq is None:
         seq = _generate(variant, bound)
-        _store(path, seq)
+        write_record(path, record_key, [str(p) for p in seq.terms])
     _memo[key] = seq
     return seq
 
@@ -198,42 +199,22 @@ def validate_sequence(seq: PrimeSequence) -> None:
 
 
 # ---------------------------------------------------------------------------
-# disk cache: "# variant bound", one term per line (tab + aux for doubling
-# variants), and a "# count=N" trailer so truncation is detectable.
+# disk cache: one record per (variant, bound), one term per line
 
 
-def _store(path: Path, seq: PrimeSequence) -> None:
-    lines = [f"# {seq.variant.value} {seq.search_bound}"]
-    for i, p in enumerate(seq.terms):
-        if seq.variant.uses_aux:
-            lines.append(f"{p}\t{seq.aux[i]}")
-        else:
-            lines.append(str(p))
-    lines.append(f"# count={len(seq.terms)}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _load_cached(path: Path, variant: SequenceVariant, bound: int) -> PrimeSequence | None:
-    if not path.exists():
-        return None
+def _load_cached(path: Path, key: str, variant: SequenceVariant,
+                 bound: int) -> PrimeSequence | None:
+    """The cached sequence, or None when absent or corrupt."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = lines[0].split()
-        if header[:1] != ["#"] or header[1] != variant.value or int(header[2]) != bound:
-            raise ValueError("header mismatch")
-        trailer = lines[-1]
-        if not trailer.startswith("# count="):
-            raise ValueError("missing trailer")
-        count = int(trailer.split("=", 1)[1])
-        term_lines = lines[1:-1]
-        if len(term_lines) != count:
-            raise ValueError("term count mismatch")
-        terms = tuple(int(line.split("\t")[0]) for line in term_lines)
+        body = read_record(path, key)
+        if body is None:
+            return None
+        terms = tuple(int(line) for line in body)
         seq = PrimeSequence(
             variant, variant.prefix, terms, _aux_for(variant, terms), math.prod(terms), bound
         )
         validate_sequence(seq)
         return seq
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         log.warning("discarding corrupt sequence cache %s (%s)", path, exc)
         return None

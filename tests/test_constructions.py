@@ -14,11 +14,10 @@ from totient_forge.constructions import (
     MissingWitness,
     NotApplicable,
     RatioWitness,
+    SeqWitness,
     Solution,
     construct_fermat_m1,
     construct_fermat_m2,
-    construct_ghp_m1,
-    construct_ghp_m2,
     construct_makowski,
     construct_prop_double_prime,
     construct_prop_phi_pair,
@@ -207,41 +206,6 @@ class TestSolveEvenM2:
             assert all(verify_solution(s) for s in sols), k
 
 
-class TestGhp:
-    def test_m1(self):
-        s = construct_ghp_m1(2, 2, 2)
-        assert s.n == 10
-        assert s.method == "GhpM1"
-        oracle_check(s)
-
-    def test_m1_prime_dividing_j_rejected(self):
-        with pytest.raises(InvalidWitness):
-            construct_ghp_m1(2, 2, 1)
-
-    def test_m1_radical_mismatch(self):
-        with pytest.raises(InvalidWitness):
-            construct_ghp_m1(4, 3, 1)
-
-    def test_m1_odd_k_rejected(self):
-        with pytest.raises(NotApplicable):
-            construct_ghp_m1(3, 3, 2)
-
-    @pytest.mark.parametrize("k,j,r,n", [(3, 3, 2, 42), (9, 9, 2, 126)])
-    def test_m2(self, k, j, r, n):
-        s = construct_ghp_m2(k, j, r)
-        assert s.n == n
-        oracle_check(s)
-
-    def test_m2_radical_mismatch(self):
-        with pytest.raises(InvalidWitness):
-            construct_ghp_m2(3, 5, 2)
-
-    def test_m2_prime_sharing_k_rejected(self):
-        # q2 = 7 here, and 7 | k
-        with pytest.raises(InvalidWitness):
-            construct_ghp_m2(21, 21, 2)
-
-
 class TestPropositions:
     def test_double_prime_k6(self):
         s = construct_prop_double_prime(6, 7)
@@ -378,6 +342,20 @@ class TestSolve:
         assert {s.method for s in sols} == {"Makowski", "SeqHasanalizade"}
         assert all(verify_solution(s) for s in sols)
 
+    def test_branch_sequence_retried_at_a_larger_bound(self, cache_dir):
+        # k is the product of every newbranch7 term below 10^4, 2*3*5*11*7
+        # among them: the 7 branch runs out of terms coprime to k at that
+        # bound, and the next rung of the ladder supplies term 96
+        seq = generate_sequence(SequenceVariant.NEW_BRANCH7, 10**4, cache_dir)
+        assert len(seq.terms) == 95
+        k = seq.product
+        kf = Factorization.from_pairs((p, 1) for p in seq.terms)
+        branch, makowski = solve_even_m2(k, k_fact=kf, cache_dir=cache_dir)
+        assert branch.method == "SeqNew"
+        assert branch.witnesses == (SeqWitness(SequenceVariant.NEW_BRANCH7, 96, 10459, 5229),)
+        assert verify_solution(branch)
+        assert makowski == construct_makowski(k, 2, kf)
+
     def test_huge_k_case2_with_hint(self, cache_dir):
         k = 10**100
         hint = Factorization.from_pairs([(2, 100), (5, 100)])
@@ -403,7 +381,6 @@ class TestKFactorizationCertified:
         pytest.param(lambda d: construct_prop_double_prime(12, 3, k_fact=BOGUS_12),
                      id="prop_double_prime"),
         pytest.param(lambda d: construct_prop_phi_pair(12, 1, k_fact=BOGUS_12), id="prop_phi_pair"),
-        pytest.param(lambda d: construct_ghp_m1(12, 2, 1, k_fact=BOGUS_12), id="ghp_m1"),
     ])
     def test_bogus_hint_rejected(self, entry, cache_dir):
         with pytest.raises(ValueError, match="not prime"):

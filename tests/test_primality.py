@@ -16,7 +16,6 @@ from totient_forge.primality import (
     Verdict,
     _mr_composite,
     confirm,
-    is_prime_small,
     is_probable_prime,
     presieve,
     primes_upto,
@@ -25,21 +24,18 @@ from totient_forge.primality import (
 
 
 class TestIsPrimeSmall:
+    # is_probable_prime below 2**64, where its verdict is deterministic
     def test_units_composite(self):
-        assert is_prime_small(0).verdict is Verdict.COMPOSITE
-        assert is_prime_small(1).verdict is Verdict.COMPOSITE
+        assert is_probable_prime(0).verdict is Verdict.COMPOSITE
+        assert is_probable_prime(1).verdict is Verdict.COMPOSITE
 
     def test_fermat_prime(self):
-        assert is_prime_small(65537).verdict is Verdict.PRIME
+        assert is_probable_prime(65537).verdict is Verdict.PRIME
 
     def test_fermat_f5_composite_with_factor(self):
-        v = is_prime_small(4294967297)
+        v = is_probable_prime(4294967297)
         assert v.verdict is Verdict.COMPOSITE
         assert v.witness == 641
-
-    def test_rejects_huge(self):
-        with pytest.raises(ValueError):
-            is_prime_small(DETERMINISTIC_LIMIT)
 
     # trial division by the primes <= 997 proves every n < 1009**2
     @pytest.mark.parametrize("n", [1009, 7919, 1018057])
@@ -48,11 +44,11 @@ class TestIsPrimeSmall:
             raise AssertionError("Miller-Rabin ran after trial division proved n prime")
 
         monkeypatch.setattr(primality, "_mr_composite", no_miller_rabin)
-        assert is_prime_small(n).verdict is Verdict.PRIME
+        assert is_probable_prime(n).verdict is Verdict.PRIME
 
     @pytest.mark.parametrize("n", [1009**2, 1009 * 1013])
     def test_products_of_primes_above_trial_range(self, n):
-        v = is_prime_small(n)
+        v = is_probable_prime(n)
         assert v.verdict is Verdict.COMPOSITE
         d = n - 1
         s = (d & -d).bit_length() - 1
@@ -69,7 +65,7 @@ class TestIsPrimeSmall:
         for p in sympy.primerange(998):
             cells = smallest[2 * p :: p]
             cells[cells == 0] = p
-        verdicts = [is_prime_small(n) for n in range(limit)]
+        verdicts = [is_probable_prime(n) for n in range(limit)]
         got_prime = np.array([v.is_prime for v in verdicts])
         got_witness = np.array([v.witness or 0 for v in verdicts])
         assert not np.flatnonzero(got_prime != is_prime).tolist()
@@ -80,7 +76,7 @@ class TestIsPrimeSmall:
         rng = random.Random(31337)
         for _ in range(2000):
             n = rng.randrange(2, DETERMINISTIC_LIMIT)
-            assert is_prime_small(n).is_prime == sympy.isprime(n), n
+            assert is_probable_prime(n).is_prime == sympy.isprime(n), n
 
 
 class TestIsProbablePrime:

@@ -1,9 +1,12 @@
 import math
 import os
 import random
+import tempfile
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totient_forge import primality, search
 from totient_forge.primality import PRESIEVE_BOUND, SPF_LIMIT, Verdict, presieve
@@ -184,8 +187,7 @@ class TestCache:
         task = PairSearchTask(a=2, b=3, start=17)
         first = search_pair_r(task, cache_dir=tmp_path)
         again = search_pair_r(task, cache_dir=tmp_path)
-        assert again.r == first.r
-        assert again.candidates_tested == 0  # served from cache
+        assert again == first
 
     def test_corrupt_cache_regenerates(self, tmp_path):
         task = PairSearchTask(a=2, b=3, start=17)
@@ -201,7 +203,7 @@ class TestCache:
         first = search_pair_r(task, cache_dir=tmp_path)
         files = list((tmp_path / "pair_search").iterdir())
         text = files[0].read_text().splitlines()
-        text[4] = "3"  # r=3 gives p2 = 10, not prime
+        text[1] = "3"  # r=3 gives p2 = 10, not prime
         files[0].write_text("\n".join(text) + "\n")
         again = search_pair_r(task, cache_dir=tmp_path)
         assert again.r == first.r == 2
@@ -211,8 +213,8 @@ class TestCache:
         # the limit is exclusive, so r = 20 does not qualify below 20
         with pytest.raises(LimitExhausted):
             search_pair_r(PairSearchTask(a=2, b=3, start=17, limit=20), cache_dir=tmp_path)
-        hit = search_pair_r(PairSearchTask(a=2, b=3, start=17, limit=21), cache_dir=tmp_path)
-        assert (hit.r, hit.candidates_tested) == (20, 0)
+        task = PairSearchTask(a=2, b=3, start=17, limit=21)
+        assert search_pair_r(task, cache_dir=tmp_path) == search_pair_r(task, use_cache=False)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(src, dst):
@@ -222,6 +224,45 @@ class TestCache:
         with pytest.raises(OSError):
             search_pair_r(PairSearchTask(a=2, b=3, start=17), cache_dir=tmp_path)
         assert list((tmp_path / "pair_search").iterdir()) == []
+
+    def test_limit_is_part_of_the_key(self, tmp_path):
+        # without a limit the first block reaches past 1009**2, is presieved,
+        # and 1 candidate is tested; the limit cuts that block below 1009**2,
+        # where nothing is presieved and all 21 candidates up to r are tested
+        free = PairSearchTask(a=1, b=3, start=339320)
+        tight = PairSearchTask(a=1, b=3, start=339320, limit=339341)
+        uncached = {task: search_pair_r(task, use_cache=False) for task in (free, tight)}
+        assert [uncached[task].candidates_tested for task in (free, tight)] == [1, 21]
+        for task in (free, tight, free, tight):
+            assert search_pair_r(task, cache_dir=tmp_path) == uncached[task]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.integers(1, 49),
+        b_gap=st.integers(1, 20),
+        start_offset=st.integers(-100, 20),
+        parity=st.sampled_from(Parity),
+        limit_offsets=st.lists(st.none() | st.integers(1, 80), min_size=1, max_size=4),
+    )
+    def test_cached_call_equals_uncached(self, a, b_gap, start_offset, parity, limit_offsets):
+        # tasks near r = 1009**2 / b, where the limit decides whether a block
+        # is presieved, differing only in the limit; each runs twice (a miss,
+        # then a hit) on one cache
+        b = a + b_gap
+        start = max(1, SPF_LIMIT // b + start_offset)
+        tasks = [PairSearchTask(a=a, b=b, start=start, parity=parity,
+                                limit=None if offset is None else start + offset)
+                 for offset in limit_offsets]
+
+        def outcome(task, **kwargs):
+            try:
+                return search_pair_r(task, **kwargs)
+            except LimitExhausted:
+                return LimitExhausted
+
+        with tempfile.TemporaryDirectory() as cache:
+            for task in tasks + tasks:
+                assert outcome(task, cache_dir=cache) == outcome(task, use_cache=False)
 
 
 class TestRTable:

@@ -187,13 +187,21 @@ class TestDiskCache:
     def path(self, cache_dir, variant, bound):
         return cache_dir / "sequences" / f"{variant.value}_{bound}.txt"
 
-    def test_round_trip(self, tmp_path):
+    # the file holds the terms alone; aux and the product are rebuilt on load
+    @pytest.mark.parametrize("variant,bound", [
+        (SequenceVariant.HASANALIZADE, 10**4),
+        (SequenceVariant.NEW_BASE, 977),
+        (SequenceVariant.NEW_BRANCH7, 10**4),
+        (SequenceVariant.NEW_BRANCH13_23, 10**4),
+    ])
+    def test_round_trip(self, tmp_path, variant, bound, caplog):
         import totient_forge.sequences as seqmod
 
-        first = generate_sequence(SequenceVariant.NEW_BASE, 977, tmp_path)
+        first = generate_sequence(variant, bound, tmp_path)
         seqmod._memo.clear()
-        again = generate_sequence(SequenceVariant.NEW_BASE, 977, tmp_path)
+        again = generate_sequence(variant, bound, tmp_path)
         assert again == first
+        assert "discarding" not in caplog.text
 
     def test_truncation_detected(self, tmp_path):
         import totient_forge.sequences as seqmod
