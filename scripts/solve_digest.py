@@ -12,15 +12,14 @@ Prints two sha256 digests, each over one line per solution,
   even-k dispatch spreads over all five of its branches.
 
 Run it on two checkouts: equal digests mean equal solutions, methods,
-witnesses and factorizations. It takes a few seconds and uses a throwaway
-cache directory; it is kept out of the test suite.
+witnesses and factorizations. It takes a few seconds, writes no cache
+files, and is kept out of the test suite.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -29,12 +28,12 @@ from perfbench.inputs import solve_ks  # noqa: E402
 from totient_forge.constructions import serialize_solution, solve  # noqa: E402
 
 
-def digest(calls, cache_dir) -> tuple[int, str]:
+def digest(calls) -> tuple[int, str]:
     """(lines, sha256) over every solution of solve(*call) in call order."""
     h = hashlib.sha256()
     lines = 0
     for k, M, w in calls:
-        for s in solve(k, M, with_witness_search=w, cache_dir=cache_dir):
+        for s in solve(k, M, with_witness_search=w):
             h.update(f"{serialize_solution(s)}|{s.nk_factorization}\n".encode())
             lines += 1
     return lines, h.hexdigest()
@@ -44,10 +43,9 @@ def main() -> int:
     ks = sorted(set(range(1, 4001)) | set(solve_ks(0)))
     sweep = [(k, M, w) for k in ks for M in (1, 2) for w in (False, True)]
     branch = [(k, 2, False) for k in range(330, 3 * 10**6, 330)]
-    with tempfile.TemporaryDirectory() as cache_dir:
-        for name, calls in (("sweep", sweep), ("branch", branch)):
-            lines, hexdigest = digest(calls, cache_dir)
-            print(f"{name}: {lines} lines, sha256 {hexdigest}")
+    for name, calls in (("sweep", sweep), ("branch", branch)):
+        lines, hexdigest = digest(calls)
+        print(f"{name}: {lines} lines, sha256 {hexdigest}")
     return 0
 
 

@@ -96,7 +96,7 @@ def claim_c1(cache_dir: Path) -> ClaimReport:
 
 def claim_c2(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
+    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5)
     ok = seq.terms == EXPECTED_HASANALIZADE and seq.product > 4 * 10**58
     mant, exp = sequence_product_magnitude(seq)
     evidence = f"{len(seq.terms)} terms, last {seq.terms[-1]}, product {mant:.2f}e{exp}"
@@ -111,7 +111,7 @@ def claim_c2(cache_dir: Path) -> ClaimReport:
 
 def claim_c3(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8, cache_dir)
+    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8)
     mant, exp = sequence_product_magnitude(seq)
     ok = seq.terms == EXPECTED_NEW_BASE and exp == 26
     evidence = f"{len(seq.terms)} terms, last {seq.terms[-1]}, product {mant:.2f}e{exp}"
@@ -120,9 +120,9 @@ def claim_c3(cache_dir: Path) -> ClaimReport:
 
 def claim_c4(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7, cache_dir)
+    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7)
     mant23, exp23 = sequence_product_magnitude(seq23)
-    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND, cache_dir)
+    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND)
     mant7, exp7 = sequence_product_magnitude(seq7)
     ok = (
         seq23.terms == EXPECTED_NEW_BRANCH13_23
@@ -156,14 +156,14 @@ def claim_c6(cache_dir: Path, k_max: int = 2000) -> ClaimReport:
     t0 = time.perf_counter()
     failures = []
     for k in range(1, k_max + 1):
-        m2 = solve(k, 2, cache_dir=cache_dir)
+        m2 = solve(k, 2)
         needed = MIN_SOLUTIONS[(2, k % 2)]
         if len(m2) < needed:
             failures.append(f"k={k}, M=2: {len(m2)} < {needed}")
         if not all(verify_solution(s) for s in m2):
             failures.append(f"k={k}, M=2: verification failure")
         if k % 2 == 0:
-            m1 = solve(k, 1, cache_dir=cache_dir)
+            m1 = solve(k, 1)
             if len(m1) < MIN_SOLUTIONS[(1, 0)]:
                 failures.append(f"k={k}, M=1: {len(m1)} < {MIN_SOLUTIONS[(1, 0)]}")
             vals = {v2(s.n) for s in m1}
@@ -235,11 +235,12 @@ def _run_claim(claim_id: str, cache_dir: Path) -> ClaimReport:
 def run_claims(level: str, cache_dir: Path) -> list[ClaimReport]:
     """Run the claims of `level` and return their reports in table order.
 
-    The claims share no state but the cache, whose writes are atomic, so
-    each runs in a pool of forked processes, min(usable CPUs, claims) of
-    them. Workers receive claim ids and look up the runner in their forked
-    copy of _CLAIMS. A runner's exception reaches the caller unchanged; a
-    worker that dies raises concurrent.futures.process.BrokenProcessPool.
+    The claims share no state but C8's pair-search cache, whose writes are
+    atomic, so each runs in a pool of forked processes, min(usable CPUs,
+    claims) of them. Workers receive claim ids and look up the runner in
+    their forked copy of _CLAIMS. A runner's exception reaches the caller
+    unchanged; a worker that dies raises
+    concurrent.futures.process.BrokenProcessPool.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {sorted(LEVELS)}")

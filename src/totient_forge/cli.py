@@ -127,10 +127,7 @@ def _emit_solutions(solutions, fmt: str) -> None:
 
 def cmd_solve(args, cache_dir: Path) -> int:
     k_fact = _parse_factors(args.k_factors, args.k)
-    solutions = solve(
-        args.k, args.M, k_fact=k_fact, with_witness_search=args.with_witness_search,
-        cache_dir=cache_dir,
-    )
+    solutions = solve(args.k, args.M, k_fact=k_fact, with_witness_search=args.with_witness_search)
     _emit_solutions(solutions, args.format)
     if not all(verify_solution(s) for s in solutions):
         return 1
@@ -167,7 +164,7 @@ def cmd_count(args, cache_dir: Path) -> int:
 
 def cmd_sequence(args, cache_dir: Path) -> int:
     variant = SequenceVariant(args.variant)
-    seq = generate_sequence(variant, args.bound, cache_dir)
+    seq = generate_sequence(variant, args.bound)
     mantissa, exponent = sequence_product_magnitude(seq)
     if args.format == "json":
         print(json.dumps({

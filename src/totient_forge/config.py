@@ -1,5 +1,5 @@
-"""The cache location, atomic writes into it, and the record framing both
-caches use.
+"""The cache location, atomic writes into it, and the record framing of the
+pair-search cache, the one cache on disk.
 
 Precedence: an explicit --cache-dir beats the environment, which beats the
 default.

@@ -30,7 +30,7 @@ from pathlib import Path
 from .arith import Factorization, factorize, iter_divisors, star_divides
 from .primality import is_probable_prime
 from .search import FERMAT_PRIMES, LimitExhausted, fermat_pair_task, search_pair_r
-from .sequences import PrimeSequence, SequenceVariant, generate_sequence
+from .sequences import PrimeSequence, SequenceVariant, generate_sequence, validate_sequence
 
 __all__ = [
     "Method",
@@ -290,10 +290,17 @@ def construct_seq_solution(k: int, seq: PrimeSequence, M: int,
     Hasanalizade sequences give n = p*k/(p-2); doubling sequences give
     n = a*k/(a+1) with p = 2a+1. Exact divisibility holds whenever the
     selected term is governed by the generation rules (it is re-checked).
+    The supplied sequence is validated first, as a supplied k_fact is: its
+    terms are taken as primes from then on.
     """
     if M != 2:
         raise NotApplicable("sequence constructions solve the doubled equation only")
-    return _seq_solution(k, seq, _k_fact(k, k_fact))
+    kf = _k_fact(k, k_fact)
+    try:
+        validate_sequence(seq)
+    except ValueError as exc:
+        raise InvalidWitness(f"invalid {seq.variant.value} sequence: {exc}") from exc
+    return _seq_solution(k, seq, kf)
 
 
 def _seq_solution(k: int, seq: PrimeSequence, kf: Factorization) -> Solution:
@@ -328,8 +335,7 @@ def _ratio_solution(k: int, kf: Factorization, num: int, den: int) -> Solution:
                   RatioWitness(num, den), error=BranchHypothesisUnmet)
 
 
-def solve_even_m2(k: int, k_fact: Factorization | None = None,
-                  cache_dir: Path | str | None = None) -> list[Solution]:
+def solve_even_m2(k: int, k_fact: Factorization | None = None) -> list[Solution]:
     """The even-k branch dispatch for phi(n+k) = 2*phi(n).
 
     The branch follows from k's divisibility by 330 = 2*3*5*11, 7, 13, 19 and
@@ -342,30 +348,30 @@ def solve_even_m2(k: int, k_fact: Factorization | None = None,
     an integer, and the base sequence is used.
     """
     kf = _k_fact(k, k_fact)
-    return [_even_m2_branch(k, kf, cache_dir), _makowski(k, kf)]
+    return [_even_m2_branch(k, kf), _makowski(k, kf)]
 
 
-def _even_m2_branch(k: int, kf: Factorization, cache_dir) -> Solution:
+def _even_m2_branch(k: int, kf: Factorization) -> Solution:
     if k % 2:
         raise NotApplicable("even k required")
     if k % 330 == 0:
         if k % 7 == 0:
-            return _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH7, cache_dir)
+            return _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH7)
         if k % 13:
             return _ratio_solution(k, kf, 36, 55)
         if k % 23 == 0:
-            return _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH13_23, cache_dir)
+            return _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH13_23)
         if k % 19 == 0:
             return _ratio_solution(k, kf, 66, 95)
-    seq = generate_sequence(SequenceVariant.NEW_BASE, _SOLVE_SEQ_BOUND, cache_dir)
+    seq = generate_sequence(SequenceVariant.NEW_BASE, _SOLVE_SEQ_BOUND)
     return _seq_solution(k, seq, kf)
 
 
-def _seq_solution_with_retry(k, kf, variant, cache_dir) -> Solution:
+def _seq_solution_with_retry(k, kf, variant) -> Solution:
     bound = _SOLVE_SEQ_BOUND
     while True:
         try:
-            return _seq_solution(k, generate_sequence(variant, bound, cache_dir), kf)
+            return _seq_solution(k, generate_sequence(variant, bound), kf)
         except AllTermsDivideK:
             if bound >= 2 * 10**7:
                 raise
@@ -488,7 +494,8 @@ def solve(
     Fermat constructions search a minimal witness r from 1 whenever the
     Fermat prime divides k. Failures of individual constructions are logged
     and skipped, never fatal. Results are deduplicated by n (method tags
-    merged) and sorted ascending.
+    merged) and sorted ascending. `cache_dir` is unused: these searches avoid
+    k's divisors and are never cached, and sequences are memoized in memory.
     """
     if M not in (1, 2):
         raise ValueError("M must be 1 or 2")
@@ -506,7 +513,7 @@ def solve(
     def fermat_with_search(m: int):
         r = None
         if gcd(FERMAT_PRIMES[m], k) != 1:
-            r = search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=k), cache_dir=cache_dir).r
+            r = search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=k)).r
         return _fermat(k, m, r, M, kf)
 
     if M == 1 and k % 2 == 0:
@@ -517,9 +524,9 @@ def solve(
             attempt(fermat_with_search, m)
         attempt(_makowski, k, kf)
     elif M == 2:
-        attempt(_even_m2_branch, k, kf, cache_dir)
+        attempt(_even_m2_branch, k, kf)
         attempt(_makowski, k, kf)
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, _HASANALIZADE_BOUND, cache_dir)
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, _HASANALIZADE_BOUND)
         attempt(_seq_solution, k, seq, kf)
     if with_witness_search and M == 2:
         found.extend(_scan_divisors(kf, lambda d: _prop_double_prime(k, d + 1, kf)))

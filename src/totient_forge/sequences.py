@@ -11,6 +11,8 @@ the doubling rules ("new" variants) admit p = 2a + 1 when
 Each variant starts from a forced prefix, exempt from the rules (branch
 variants deliberately reorder small primes), and then greedily appends the
 smallest qualifying prime, strictly increasing among generated terms.
+Every (variant, bound) the system uses generates in milliseconds, so a
+sequence is generated once per process and memoized, never stored on disk.
 
 The product is squarefree, so each qualifying p is d + 2 or 2d - 1 for
 exactly one divisor d of it: generation walks the product's sorted divisors,
@@ -19,7 +21,7 @@ not the primes below the bound, and extends them by d * q for each new term q.
 
 from __future__ import annotations
 
-import logging
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -27,7 +29,6 @@ from enum import Enum
 from pathlib import Path
 
 from .arith import Factorization, iter_divisors, star_divides
-from .config import default_cache_dir, read_record, write_record
 from .primality import is_probable_prime
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "sequence_product_magnitude",
     "validate_sequence",
 ]
-
-log = logging.getLogger(__name__)
 
 # the largest bound with isqrt(bound) <= 10**8; the capped divisor lists of
 # the long branch sequences grow with the bound
@@ -99,33 +98,23 @@ def _rule(variant: SequenceVariant):
     return _hasanalizade_ok if variant is SequenceVariant.HASANALIZADE else _doubling_ok
 
 
-_memo: dict[tuple[SequenceVariant, int, str], PrimeSequence] = {}
-
-
 def generate_sequence(
     variant: SequenceVariant,
     bound: int,
     cache_dir: Path | str | None = None,
 ) -> PrimeSequence:
-    """Generate (or load from cache) the variant's sequence up to `bound`."""
+    """The variant's sequence up to `bound`, generated once per process.
+
+    `cache_dir` is unused: sequences are memoized in memory, never stored.
+    """
     if bound < max(variant.prefix):
         raise ValueError("bound must cover the forced prefix")
     if bound > MAX_BOUND:
         raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    key = (variant, bound, str(cache_dir))
-    if key in _memo:
-        return _memo[key]
-    path = cache_dir / "sequences" / f"{variant.value}_{bound}.txt"
-    record_key = f"{variant.value} {bound}"
-    seq = _load_cached(path, record_key, variant, bound)
-    if seq is None:
-        seq = _generate(variant, bound)
-        write_record(path, record_key, [str(p) for p in seq.terms])
-    _memo[key] = seq
-    return seq
+    return _generate(variant, bound)
 
 
+@functools.cache
 def _generate(variant: SequenceVariant, bound: int) -> PrimeSequence:
     rule = _rule(variant)
     # p = scale*d + offset for a divisor d of the product; p increases with d
@@ -196,25 +185,3 @@ def validate_sequence(seq: PrimeSequence) -> None:
         raise ValueError("stored product mismatch")
     if seq.aux != _aux_for(seq.variant, seq.terms):
         raise ValueError("aux values mismatch")
-
-
-# ---------------------------------------------------------------------------
-# disk cache: one record per (variant, bound), one term per line
-
-
-def _load_cached(path: Path, key: str, variant: SequenceVariant,
-                 bound: int) -> PrimeSequence | None:
-    """The cached sequence, or None when absent or corrupt."""
-    try:
-        body = read_record(path, key)
-        if body is None:
-            return None
-        terms = tuple(int(line) for line in body)
-        seq = PrimeSequence(
-            variant, variant.prefix, terms, _aux_for(variant, terms), math.prod(terms), bound
-        )
-        validate_sequence(seq)
-        return seq
-    except ValueError as exc:
-        log.warning("discarding corrupt sequence cache %s (%s)", path, exc)
-        return None

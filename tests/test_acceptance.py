@@ -63,7 +63,7 @@ def test_c1_r_table_primality():
 
 
 def test_c2_hasanalizade_sequence(cache_dir):
-    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
+    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5)
     mantissa, exponent = sequence_product_magnitude(seq)
     expected = math.prod(EXPECTED_HASANALIZADE)
     report = claim_c2(cache_dir)
@@ -87,8 +87,8 @@ def test_c2_hasanalizade_sequence(cache_dir):
     assert "2*product = 4.03e+58" in report.evidence
 
 
-def test_c3_new_base_sequence(cache_dir):
-    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8, cache_dir)
+def test_c3_new_base_sequence():
+    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8)
     mantissa, exponent = sequence_product_magnitude(seq)
     ok = seq.terms == EXPECTED_NEW_BASE and exponent == 26
     announce("C3", ok, f"13-term match: {seq.terms == EXPECTED_NEW_BASE}; "
@@ -98,9 +98,9 @@ def test_c3_new_base_sequence(cache_dir):
 
 
 def test_c4_branch_sequences(cache_dir):
-    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7, cache_dir)
+    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7)
     mant23, exp23 = sequence_product_magnitude(seq23)
-    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND, cache_dir)
+    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND)
     _, exp7 = sequence_product_magnitude(seq7)
     expected23 = math.prod(EXPECTED_NEW_BRANCH13_23)
     report = claim_c4(cache_dir)
@@ -139,17 +139,17 @@ def test_c5_k6_enumeration():
     assert large.solutions == (4, 6, 7, 10)
 
 
-def test_c6_theorem_counts_desk_scale(cache_dir):
+def test_c6_theorem_counts_desk_scale():
     failures = []
     for k in range(1, 2001):
-        m2 = solve(k, 2, cache_dir=cache_dir)
+        m2 = solve(k, 2)
         needed = 5 if k % 2 else 3
         if len(m2) < needed:
             failures.append(f"k={k} M=2 count {len(m2)}")
         if not all(verify_solution(s) for s in m2):
             failures.append(f"k={k} M=2 verify")
         if k % 2 == 0:
-            m1 = solve(k, 1, cache_dir=cache_dir)
+            m1 = solve(k, 1)
             if len(m1) < 5:
                 failures.append(f"k={k} M=1 count {len(m1)}")
             if len({v2(s.n) for s in m1}) != len(m1):
@@ -192,13 +192,13 @@ def test_c8_witness_rediscovery(cache_dir):
     assert ok
 
 
-def test_p1_oracle_containment(cache_dir):
+def test_p1_oracle_containment():
     limit = 10**5
     bad = []
     for k in range(1, 201):
         for M in (1, 2):
             oracle = set(enumerate_solutions(k, M, limit).solutions)
-            for s in solve(k, M, cache_dir=cache_dir):
+            for s in solve(k, M):
                 if s.n <= limit and s.n not in oracle:
                     bad.append((k, M, s.n))
     announce("P1", not bad,
@@ -234,7 +234,7 @@ def _phi_from_merge(da: dict, db: dict) -> int:
     return out
 
 
-def test_p2_identity_suite(cache_dir):
+def test_p2_identity_suite():
     limit = 10**4
     phi = totients_upto(limit)
     facts = _factor_dicts_upto(limit)

@@ -214,18 +214,18 @@ class TestOtherCommands:
 class TestConfig:
     def test_cache_env_honored(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TOTIENT_FORGE_CACHE", str(tmp_path / "from_env"))
-        code, _ = run(capsys, ["sequence", "--variant", "newbase", "--bound", "100"])
+        code, _ = run(capsys, ["search-r", "--a", "2", "--b", "3"])
         assert code == 0
-        assert (tmp_path / "from_env" / "sequences").exists()
+        assert (tmp_path / "from_env" / "pair_search").exists()
 
     def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TOTIENT_FORGE_CACHE", str(tmp_path / "from_env2"))
         flag_dir = tmp_path / "from_flag"
         code, _ = run(capsys, [
-            "--cache-dir", str(flag_dir), "sequence", "--variant", "newbase", "--bound", "100",
+            "--cache-dir", str(flag_dir), "search-r", "--a", "2", "--b", "3",
         ])
         assert code == 0
-        assert (flag_dir / "sequences").exists()
+        assert (flag_dir / "pair_search").exists()
         assert not (tmp_path / "from_env2").exists()
 
     def test_verify_claims_defaults_to_env_cache(self, capsys, tmp_path, monkeypatch):
@@ -236,10 +236,7 @@ class TestConfig:
         csv_path = env_dir / "claims_quick.csv"
         assert f"csv report written to {csv_path}" in out
         assert csv_path.read_text().startswith("claim,status,runtime_s,anchor,evidence\nC1,Pass,")
-        assert sorted(p.name for p in (env_dir / "sequences").iterdir()) == [
-            "hasanalizade_200000.txt", "newbase_10000.txt", "newbase_100000000.txt",
-            "newbranch13_23_20000000.txt", "newbranch7_13000.txt",
-        ]
+        assert [p.name for p in env_dir.iterdir()] == ["claims_quick.csv"]
 
 
 class TestFormats:
@@ -345,8 +342,7 @@ sys.exit(main(["--cache-dir", {str(tmp_path)!r}, "verify-claims", "--level", "qu
         ("C1", "quick", ("verify_r_table", lambda: [
             RTableRow(0, 4, is_probable_prime(9), is_probable_prime(13))])),
         ("C2", "quick", None),
-        ("C3", "quick", ("generate_sequence", lambda variant, bound, cache_dir: generate_sequence(
-            variant, 100, cache_dir))),
+        ("C3", "quick", ("generate_sequence", lambda variant, bound: generate_sequence(variant, 100))),
         ("C4", "quick", None),
         ("C5", "quick", ("enumerate_solutions", lambda k, M, limit: SimpleNamespace(solutions=(4, 6, 7)))),
         ("C6", "quick", ("solve", lambda *args, **kwargs: [])),

@@ -28,7 +28,7 @@ from totient_forge.constructions import (
     solve_even_m2,
     verify_solution,
 )
-from totient_forge.sequences import SequenceVariant, generate_sequence
+from totient_forge.sequences import PrimeSequence, SequenceVariant, generate_sequence
 
 
 def oracle_check(s: Solution) -> None:
@@ -96,98 +96,108 @@ class TestFermat:
 
 
 class TestSequenceSolutions:
-    def test_hasanalizade_k2(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
+    def test_hasanalizade_k2(self):
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5)
         s = construct_seq_solution(2, seq, 2)
         assert s.n == 6
         assert s.witnesses[0].index == 1 and s.witnesses[0].p == 3
         oracle_check(s)
 
-    def test_newbase_k6(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4, cache_dir)
+    def test_newbase_k6(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4)
         s = construct_seq_solution(6, seq, 2)
         assert s.n == 4
         assert s.witnesses[0].a == 2
         oracle_check(s)
 
-    def test_newbase_k2(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4, cache_dir)
+    def test_newbase_k2(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4)
         s = construct_seq_solution(2, seq, 2)
         assert s.n == 1
         oracle_check(s)
 
-    def test_all_terms_divide(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 11, cache_dir)
+    def test_all_terms_divide(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 11)
         assert seq.terms == (2, 3, 5, 11)
         with pytest.raises(AllTermsDivideK):
             construct_seq_solution(2 * 3 * 5 * 11, seq, 2)
 
-    def test_odd_k_rejected(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, 100, cache_dir)
+    def test_odd_k_rejected(self):
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, 100)
         with pytest.raises(NotApplicable):
             construct_seq_solution(5, seq, 2)
 
-    def test_forced_prefix_term_without_rules_rejected(self, cache_dir):
+    def test_forced_prefix_term_without_rules_rejected(self):
         # 23 sits in the forced prefix; its a+1 = 12 need not divide this k
-        seq = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 100, cache_dir)
+        seq = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 100)
         with pytest.raises(InvalidWitness):
             construct_seq_solution(2 * 3 * 5 * 11 * 13, seq, 2)
 
+    # composite terms: 25 would give n = 150 with "2 * 3 * 25", 9 would give
+    # n = 8, and neither satisfies the equation
+    @pytest.mark.parametrize("k,seq", [
+        (138, PrimeSequence(SequenceVariant.HASANALIZADE, (3,), (3, 25), (), 75, 10**4)),
+        (10, PrimeSequence(SequenceVariant.NEW_BASE, (2,), (2, 9), (0, 4), 18, 100)),
+    ])
+    def test_unvalidated_sequence_rejected(self, k, seq):
+        with pytest.raises(InvalidWitness, match="not prime"):
+            construct_seq_solution(k, seq, 2)
+
 
 class TestSolveEvenM2:
-    def test_k6_base_branch(self, cache_dir):
-        ns = sorted(s.n for s in solve_even_m2(6, cache_dir=cache_dir))
+    def test_k6_base_branch(self):
+        ns = sorted(s.n for s in solve_even_m2(6))
         assert ns == [4, 6]
 
-    def test_k2(self, cache_dir):
-        ns = sorted(s.n for s in solve_even_m2(2, cache_dir=cache_dir))
+    def test_k2(self):
+        ns = sorted(s.n for s in solve_even_m2(2))
         assert ns == [1, 2]
 
-    def test_ratio_36_55(self, cache_dir):
+    def test_ratio_36_55(self):
         # 1320 = 2^3 * 3 * 5 * 11, coprime to 7 and 13
-        sols = solve_even_m2(1320, cache_dir=cache_dir)
+        sols = solve_even_m2(1320)
         assert 864 in {s.n for s in sols}
         for s in sols:
             oracle_check(s)
 
-    def test_branch7(self, cache_dir):
+    def test_branch7(self):
         k = 2 * 3 * 5 * 11 * 7
-        sols = solve_even_m2(k, cache_dir=cache_dir)
+        sols = solve_even_m2(k)
         assert {s.n for s in sols} == {6 * k // 7, k}
         for s in sols:
             oracle_check(s)
 
-    def test_ratio_66_95_with_19(self, cache_dir):
+    def test_ratio_66_95_with_19(self):
         k = 2 * 3 * 5 * 11 * 13 * 19
-        sols = solve_even_m2(k, cache_dir=cache_dir)
+        sols = solve_even_m2(k)
         assert 66 * k // 95 in {s.n for s in sols}
         for s in sols:
             oracle_check(s)
 
-    def test_ratio_66_95_without_19_falls_back(self, cache_dir):
+    def test_ratio_66_95_without_19_falls_back(self):
         k = 2 * 3 * 5 * 11 * 13
-        sols = solve_even_m2(k, cache_dir=cache_dir)
+        sols = solve_even_m2(k)
         ns = {s.n for s in sols}
         assert 9 * k // 10 in ns  # base-sequence solution via the term 19
         for s in sols:
             oracle_check(s)
 
-    def test_branch13_23(self, cache_dir):
+    def test_branch13_23(self):
         k = 2 * 3 * 5 * 11 * 13 * 23
-        sols = solve_even_m2(k, cache_dir=cache_dir)
+        sols = solve_even_m2(k)
         assert 9 * k // 10 in {s.n for s in sols}
         for s in sols:
             oracle_check(s)
 
-    def test_odd_k_rejected(self, cache_dir):
+    def test_odd_k_rejected(self):
         with pytest.raises(NotApplicable):
-            solve_even_m2(3, cache_dir=cache_dir)
+            solve_even_m2(3)
 
-    def test_dispatch_by_divisibility_up_to_1e6(self, cache_dir):
+    def test_dispatch_by_divisibility_up_to_1e6(self):
         # every k = 330*j <= 10**6: the branch follows from 7, 13, 19 and 23
         # alone, and the 36/55 and 66/95 ratios never fail where chosen
         for k in range(330, 10**6 + 1, 330):
-            sols = solve_even_m2(k, cache_dir=cache_dir)
+            sols = solve_even_m2(k)
             branch, makowski = sols
             assert makowski.method == "Makowski" and makowski.n == k
             if k % 7 and k % 13:
@@ -261,50 +271,50 @@ class TestVerifySolution:
 
 
 class TestSolve:
-    def test_k6_m2_default(self, cache_dir):
-        ns = [s.n for s in solve(6, 2, cache_dir=cache_dir)]
+    def test_k6_m2_default(self):
+        ns = [s.n for s in solve(6, 2)]
         assert ns == sorted(ns)
         assert {4, 6, 10} <= set(ns)
 
-    def test_k6_m2_witness_search_adds_prop_solution(self, cache_dir):
-        ns = {s.n for s in solve(6, 2, with_witness_search=True, cache_dir=cache_dir)}
+    def test_k6_m2_witness_search_adds_prop_solution(self):
+        ns = {s.n for s in solve(6, 2, with_witness_search=True)}
         assert {4, 6, 7, 10} <= ns
 
-    def test_k2_m1_five_fermat(self, cache_dir):
-        sols = solve(2, 1, cache_dir=cache_dir)
+    def test_k2_m1_five_fermat(self):
+        sols = solve(2, 1)
         assert [s.n for s in sols] == [4, 8, 32, 512, 131072]
         assert len({v2(s.n) for s in sols}) == 5
 
-    def test_k1_m2(self, cache_dir):
-        ns = {s.n for s in solve(1, 2, cache_dir=cache_dir)}
+    def test_k1_m2(self):
+        ns = {s.n for s in solve(1, 2)}
         assert {2, 4, 16, 256, 65536} <= ns
 
-    def test_merged_methods(self, cache_dir):
+    def test_merged_methods(self):
         # for odd k coprime to 3, Makowski's n = 2k equals the m = 0 case-1 value
-        sols = solve(5, 2, cache_dir=cache_dir)
+        sols = solve(5, 2)
         merged = next(s for s in sols if s.n == 10)
         assert merged.method == "FermatCase1+Makowski"
         assert len(merged.witnesses) == 1  # Makowski carries no witness record
 
-    def test_case2_inside_solve(self, cache_dir):
-        sols = solve(9, 2, cache_dir=cache_dir)
+    def test_case2_inside_solve(self):
+        sols = solve(9, 2)
         assert len(sols) >= 5
         tags = {s.method for s in sols}
         assert "FermatCase2" in tags
         for s in sols:
             oracle_check(s)
 
-    def test_invalid_m(self, cache_dir):
+    def test_invalid_m(self):
         with pytest.raises(ValueError):
-            solve(2, 3, cache_dir=cache_dir)
+            solve(2, 3)
 
-    def test_odd_k_m1_has_no_construction(self, cache_dir):
-        assert solve(3, 1, cache_dir=cache_dir) == []
+    def test_odd_k_m1_has_no_construction(self):
+        assert solve(3, 1) == []
 
-    def test_ordering_markers(self, cache_dir):
+    def test_ordering_markers(self):
         # sequence route stays below k, Makowski and Hasanalizade at or above
         for k in range(2, 500, 2):
-            sols = solve(k, 2, cache_dir=cache_dir)
+            sols = solve(k, 2)
             by_tag = {}
             for s in sols:
                 for tag in s.method.split("+"):
@@ -314,52 +324,52 @@ class TestSolve:
             for n in by_tag.get("Makowski", []) + by_tag.get("SeqHasanalizade", []):
                 assert n >= k
 
-    def test_fermat_two_adic_valuations(self, cache_dir):
+    def test_fermat_two_adic_valuations(self):
         # each Fermat solution is exactly divisible by 2^(2^m + v2(k))
         for k in range(2, 201, 2):
-            for s in solve(k, 1, cache_dir=cache_dir):
+            for s in solve(k, 1):
                 w = s.witnesses[0]
                 assert v2(s.n) == (1 << w.m) + v2(k), (k, s.n)
 
-    def test_huge_k_with_hint(self, cache_dir):
+    def test_huge_k_with_hint(self):
         k = 2**101
         hint = Factorization.from_pairs([(2, 101)])
-        sols = solve(k, 1, k_fact=hint, cache_dir=cache_dir)
+        sols = solve(k, 1, k_fact=hint)
         assert len(sols) == 5
         for s in sols:
             # verified through the certified factorizations, no blind factoring
             assert verify_solution(s) is True
 
-    def test_makowski_kept_when_branch_sequence_fails(self, cache_dir):
+    def test_makowski_kept_when_branch_sequence_fails(self):
         # every newbranch13_23 term divides k, so that branch raises; only the
         # branch may be skipped, not Makowski's n = k with it
         k = math.prod(EXPECTED_NEW_BRANCH13_23)
         kf = Factorization.from_pairs((p, 1) for p in EXPECTED_NEW_BRANCH13_23)
         with pytest.raises(AllTermsDivideK):
-            solve_even_m2(k, k_fact=kf, cache_dir=cache_dir)
-        sols = solve(k, 2, k_fact=kf, cache_dir=cache_dir)
+            solve_even_m2(k, k_fact=kf)
+        sols = solve(k, 2, k_fact=kf)
         assert construct_makowski(k, 2, kf) in sols
         assert {s.method for s in sols} == {"Makowski", "SeqHasanalizade"}
         assert all(verify_solution(s) for s in sols)
 
-    def test_branch_sequence_retried_at_a_larger_bound(self, cache_dir):
+    def test_branch_sequence_retried_at_a_larger_bound(self):
         # k is the product of every newbranch7 term below 10^4, 2*3*5*11*7
         # among them: the 7 branch runs out of terms coprime to k at that
         # bound, and the next rung of the ladder supplies term 96
-        seq = generate_sequence(SequenceVariant.NEW_BRANCH7, 10**4, cache_dir)
+        seq = generate_sequence(SequenceVariant.NEW_BRANCH7, 10**4)
         assert len(seq.terms) == 95
         k = seq.product
         kf = Factorization.from_pairs((p, 1) for p in seq.terms)
-        branch, makowski = solve_even_m2(k, k_fact=kf, cache_dir=cache_dir)
+        branch, makowski = solve_even_m2(k, k_fact=kf)
         assert branch.method == "SeqNew"
         assert branch.witnesses == (SeqWitness(SequenceVariant.NEW_BRANCH7, 96, 10459, 5229),)
         assert verify_solution(branch)
         assert makowski == construct_makowski(k, 2, kf)
 
-    def test_huge_k_case2_with_hint(self, cache_dir):
+    def test_huge_k_case2_with_hint(self):
         k = 10**100
         hint = Factorization.from_pairs([(2, 100), (5, 100)])
-        sols = solve(k, 1, k_fact=hint, cache_dir=cache_dir)
+        sols = solve(k, 1, k_fact=hint)
         assert len(sols) == 5
         assert any(s.method == "FermatCase2" for s in sols)  # 5 divides k
         assert len({v2(s.n) for s in sols}) == 5
@@ -371,20 +381,20 @@ BOGUS_12 = Factorization(((3, 1), (4, 1)), 12)
 
 class TestKFactorizationCertified:
     @pytest.mark.parametrize("entry", [
-        pytest.param(lambda d: solve(12, 2, k_fact=BOGUS_12, cache_dir=d), id="solve"),
-        pytest.param(lambda d: solve_even_m2(12, k_fact=BOGUS_12, cache_dir=d), id="solve_even_m2"),
-        pytest.param(lambda d: construct_makowski(12, 2, k_fact=BOGUS_12), id="makowski"),
-        pytest.param(lambda d: construct_fermat_m1(12, 1, k_fact=BOGUS_12), id="fermat_m1"),
-        pytest.param(lambda d: construct_seq_solution(
-            12, generate_sequence(SequenceVariant.NEW_BASE, 10**4, d), 2, k_fact=BOGUS_12),
+        pytest.param(lambda: solve(12, 2, k_fact=BOGUS_12), id="solve"),
+        pytest.param(lambda: solve_even_m2(12, k_fact=BOGUS_12), id="solve_even_m2"),
+        pytest.param(lambda: construct_makowski(12, 2, k_fact=BOGUS_12), id="makowski"),
+        pytest.param(lambda: construct_fermat_m1(12, 1, k_fact=BOGUS_12), id="fermat_m1"),
+        pytest.param(lambda: construct_seq_solution(
+            12, generate_sequence(SequenceVariant.NEW_BASE, 10**4), 2, k_fact=BOGUS_12),
             id="seq_solution"),
-        pytest.param(lambda d: construct_prop_double_prime(12, 3, k_fact=BOGUS_12),
+        pytest.param(lambda: construct_prop_double_prime(12, 3, k_fact=BOGUS_12),
                      id="prop_double_prime"),
-        pytest.param(lambda d: construct_prop_phi_pair(12, 1, k_fact=BOGUS_12), id="prop_phi_pair"),
+        pytest.param(lambda: construct_prop_phi_pair(12, 1, k_fact=BOGUS_12), id="prop_phi_pair"),
     ])
-    def test_bogus_hint_rejected(self, entry, cache_dir):
+    def test_bogus_hint_rejected(self, entry):
         with pytest.raises(ValueError, match="not prime"):
-            entry(cache_dir)
+            entry()
 
 
 def sympy_totient(n: int) -> int:
@@ -396,8 +406,8 @@ def sympy_totient(n: int) -> int:
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 10**6), M=st.sampled_from((1, 2)))
-def test_solve_outputs_satisfy_equation(k, M, cache_dir):
-    for s in solve(k, M, with_witness_search=True, cache_dir=cache_dir):
+def test_solve_outputs_satisfy_equation(k, M):
+    for s in solve(k, M, with_witness_search=True):
         assert (s.k, s.M) == (k, M)
         assert sympy_totient(s.n + k) == M * sympy_totient(s.n)
 

@@ -198,6 +198,15 @@ class TestCache:
         again = search_pair_r(task, cache_dir=tmp_path)
         assert again.r == first.r
 
+    def test_truncation_detected(self, tmp_path):
+        task = PairSearchTask(a=2, b=3, start=17)
+        search_pair_r(task, cache_dir=tmp_path)
+        [path] = (tmp_path / "pair_search").iterdir()
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")  # drop a body line and the trailer
+        assert search_pair_r(task, cache_dir=tmp_path) == search_pair_r(task, use_cache=False)
+        assert path.read_text().splitlines()[-1] == "# count=4"
+
     def test_wrong_r_in_cache_rejected(self, tmp_path):
         task = PairSearchTask(a=2, b=3, start=1)
         first = search_pair_r(task, cache_dir=tmp_path)

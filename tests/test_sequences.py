@@ -1,6 +1,4 @@
 import math
-import os
-import tempfile
 
 import pytest
 import sympy
@@ -13,6 +11,8 @@ from totient_forge.claims import (
     EXPECTED_NEW_BRANCH7_PREFIX,
     EXPECTED_NEW_BRANCH13_23,
 )
+from totient_forge.cli import main
+from totient_forge.constructions import solve
 from totient_forge.sequences import (
     PrimeSequence,
     SequenceVariant,
@@ -77,29 +77,28 @@ def capped_divisors(n: int, cap: int) -> list[int]:
 @example(variant=SequenceVariant.HASANALIZADE, bound=3000)
 def test_generation_matches_brute_force(variant, bound):
     bound = max(bound, max(variant.prefix))  # lower bounds are rejected
-    with tempfile.TemporaryDirectory() as tmp:
-        seq = generate_sequence(variant, bound, tmp)
+    seq = generate_sequence(variant, bound)
     assert seq.terms == brute_force_terms(variant, bound)
 
 
 class TestGoldenLists:
-    def test_hasanalizade(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
+    def test_hasanalizade(self):
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5)
         assert seq.terms == EXPECTED_HASANALIZADE
         independent_rule_check(seq)
 
-    def test_new_base_small_bound(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4, cache_dir)
+    def test_new_base_small_bound(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4)
         assert seq.terms == EXPECTED_NEW_BASE
         independent_rule_check(seq)
 
-    def test_new_branch13_23(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7, cache_dir)
+    def test_new_branch13_23(self):
+        seq = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7)
         assert seq.terms == EXPECTED_NEW_BRANCH13_23
         independent_rule_check(seq)
 
-    def test_new_branch7_prefix(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BRANCH7, 1000, cache_dir)
+    def test_new_branch7_prefix(self):
+        seq = generate_sequence(SequenceVariant.NEW_BRANCH7, 1000)
         assert seq.terms[: len(EXPECTED_NEW_BRANCH7_PREFIX)] == EXPECTED_NEW_BRANCH7_PREFIX
         independent_rule_check(seq)
 
@@ -108,8 +107,8 @@ class TestCompleteness:
     """Any qualifying candidate corresponds to a divisor of the full product,
     so enumerating divisors independently proves the scans missed nothing."""
 
-    def test_new_base_has_no_term_up_to_1e8(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8, cache_dir)
+    def test_new_base_has_no_term_up_to_1e8(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8)
         product, last = seq.product, seq.terms[-1]
         for d in sympy.divisors(product):  # a + 1 must divide the product
             p = 2 * d - 1
@@ -117,12 +116,12 @@ class TestCompleteness:
                 a = d - 1
                 assert not set(sympy.factorint(a)) <= set(sympy.factorint(product)), p
 
-    def test_new_base_has_no_term_up_to_1e12(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**12, cache_dir)
+    def test_new_base_has_no_term_up_to_1e12(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**12)
         assert seq.terms == EXPECTED_NEW_BASE
 
-    def test_hasanalizade_complete_to_2e5(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
+    def test_hasanalizade_complete_to_2e5(self):
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5)
         product, last = seq.product, seq.terms[-1]
         # p - 2 must divide the product, and p <= 2*10**5 needs d <= 2*10**5 - 2
         for d in capped_divisors(product, 2 * 10**5 - 2):
@@ -132,33 +131,33 @@ class TestCompleteness:
 
 
 class TestGeneration:
-    def test_extension_property(self, cache_dir):
+    def test_extension_property(self):
         for variant in SequenceVariant:
-            small = generate_sequence(variant, 150, cache_dir)
-            large = generate_sequence(variant, 5000, cache_dir)
+            small = generate_sequence(variant, 150)
+            large = generate_sequence(variant, 5000)
             assert large.terms[: len(small.terms)] == small.terms
 
-    def test_bound_below_prefix_rejected(self, cache_dir):
+    def test_bound_below_prefix_rejected(self):
         with pytest.raises(ValueError):
-            generate_sequence(SequenceVariant.NEW_BRANCH13_23, 20, cache_dir)
+            generate_sequence(SequenceVariant.NEW_BRANCH13_23, 20)
 
-    def test_bound_cap(self, cache_dir):
+    def test_bound_cap(self):
         # the largest accepted bound has isqrt(bound) == 10**8
         inside = (10**8 + 1) ** 2 - 1
-        assert generate_sequence(SequenceVariant.NEW_BASE, inside, cache_dir).terms == EXPECTED_NEW_BASE
+        assert generate_sequence(SequenceVariant.NEW_BASE, inside).terms == EXPECTED_NEW_BASE
         with pytest.raises(ValueError):
-            generate_sequence(SequenceVariant.NEW_BASE, inside + 1, cache_dir)
+            generate_sequence(SequenceVariant.NEW_BASE, inside + 1)
 
-    def test_aux_values(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4, cache_dir)
+    def test_aux_values(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4)
         assert seq.aux[0] == 0
         for p, a in zip(seq.terms[1:], seq.aux[1:]):
             assert p == 2 * a + 1
-        has = generate_sequence(SequenceVariant.HASANALIZADE, 100, cache_dir)
+        has = generate_sequence(SequenceVariant.HASANALIZADE, 100)
         assert has.aux == ()
 
-    def test_validator_rejects_tampering(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4, cache_dir)
+    def test_validator_rejects_tampering(self):
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4)
         validate_sequence(seq)
         broken = PrimeSequence(
             seq.variant, seq.prefix, seq.terms + (7,),
@@ -169,13 +168,13 @@ class TestGeneration:
 
 
 class TestMagnitude:
-    def test_single_term(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, 4, cache_dir)
+    def test_single_term(self):
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, 4)
         assert seq.terms == (3,)
         assert sequence_product_magnitude(seq) == (3.0, 0)
 
-    def test_hasanalizade_product(self, cache_dir):
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5, cache_dir)
+    def test_hasanalizade_product(self):
+        seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5)
         assert seq.product == math.prod(EXPECTED_HASANALIZADE)
         mantissa, exponent = sequence_product_magnitude(seq)
         assert exponent == 58
@@ -183,52 +182,27 @@ class TestMagnitude:
         assert 2 * seq.product > 4 * 10**58
 
 
-class TestDiskCache:
-    def path(self, cache_dir, variant, bound):
-        return cache_dir / "sequences" / f"{variant.value}_{bound}.txt"
+class TestMemo:
+    def test_one_sequence_per_process_and_no_files(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        for d in (first, second):
+            d.mkdir()
+        seq = generate_sequence(SequenceVariant.NEW_BRANCH7, 1000, first)
+        assert generate_sequence(SequenceVariant.NEW_BRANCH7, 1000, second) is seq
+        solve(6, 2, cache_dir=first)
+        assert main(["--cache-dir", str(second), "sequence",
+                     "--variant", "newbase", "--bound", "100"]) == 0
+        capsys.readouterr()
+        assert list(first.iterdir()) == list(second.iterdir()) == []
 
-    # the file holds the terms alone; aux and the product are rebuilt on load
-    @pytest.mark.parametrize("variant,bound", [
-        (SequenceVariant.HASANALIZADE, 10**4),
-        (SequenceVariant.NEW_BASE, 977),
-        (SequenceVariant.NEW_BRANCH7, 10**4),
-        (SequenceVariant.NEW_BRANCH13_23, 10**4),
-    ])
-    def test_round_trip(self, tmp_path, variant, bound, caplog):
-        import totient_forge.sequences as seqmod
-
-        first = generate_sequence(variant, bound, tmp_path)
-        seqmod._memo.clear()
-        again = generate_sequence(variant, bound, tmp_path)
-        assert again == first
-        assert "discarding" not in caplog.text
-
-    def test_truncation_detected(self, tmp_path):
-        import totient_forge.sequences as seqmod
-
-        original = generate_sequence(SequenceVariant.NEW_BASE, 971, tmp_path)
-        path = self.path(tmp_path, SequenceVariant.NEW_BASE, 971)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")  # drop a term and the trailer
-        seqmod._memo.clear()
-        regenerated = generate_sequence(SequenceVariant.NEW_BASE, 971, tmp_path)
-        assert regenerated == original
-
-    def test_garbage_detected(self, tmp_path):
-        import totient_forge.sequences as seqmod
-
-        original = generate_sequence(SequenceVariant.HASANALIZADE, 211, tmp_path)
-        path = self.path(tmp_path, SequenceVariant.HASANALIZADE, 211)
-        path.write_text("# hasanalizade 211\n3\n9\n# count=2\n")
-        seqmod._memo.clear()
-        regenerated = generate_sequence(SequenceVariant.HASANALIZADE, 211, tmp_path)
-        assert regenerated == original
-
-    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        def fail(src, dst):
-            raise OSError("simulated failure")
-
-        monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError):
-            generate_sequence(SequenceVariant.NEW_BASE, 967, tmp_path)
-        assert list((tmp_path / "sequences").iterdir()) == []
+    def test_sequence_files_are_ignored(self, tmp_path):
+        # a well-formed record of an older version holding the prefix alone:
+        # every term passes validation, so only not reading it gives the
+        # full sequence
+        path = tmp_path / "sequences" / "newbase_997.txt"
+        path.parent.mkdir()
+        path.write_text("# newbase 997\n2\n# count=1\n")
+        seq = generate_sequence(SequenceVariant.NEW_BASE, 997, tmp_path)
+        assert seq.terms == tuple(p for p in EXPECTED_NEW_BASE if p <= 997)
+        assert len(seq.terms) == 8
+        assert path.read_text() == "# newbase 997\n2\n# count=1\n"
