@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .primality import SPF_LIMIT, is_probable_prime, primes_upto, spf_table
+from .primality import SPF_LIMIT, is_prime, primes_upto, spf_table
 
 __all__ = [
     "DEFAULT_FACTORING_BOUND",
@@ -132,7 +132,7 @@ class Factorization:
                 raise ValueError("factors must have ascending primes, exponents >= 1")
             prev = p
             value *= p**e
-            if deep and not is_probable_prime(p).is_prime:
+            if deep and not is_prime(p):
                 raise ValueError(f"listed factor {p} is not prime")
         if value != self.value:
             raise ValueError("stored value does not match factor product")
@@ -213,7 +213,7 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
     Below 10**8 such an n is prime; above, it is tested once.
     """
-    if n < _FIRST_PASS_LIMIT**2 or is_probable_prime(n).is_prime:
+    if n < _FIRST_PASS_LIMIT**2 or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
     # seeded by n, so the split is reproducible

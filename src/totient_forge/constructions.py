@@ -28,7 +28,7 @@ from math import gcd
 from pathlib import Path
 
 from .arith import Factorization, factorize, iter_divisors, star_divides
-from .primality import is_probable_prime
+from .primality import is_prime
 from .search import FERMAT_PRIMES, LimitExhausted, fermat_pair_task, search_pair_r
 from .sequences import PrimeSequence, SequenceVariant, generate_sequence, validate_sequence
 
@@ -259,7 +259,7 @@ def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solutio
     p1 = (fermat - 1) * r + 1
     p2 = fermat * r + 1
     for p in (p1, p2):
-        if not is_probable_prime(p).is_prime:
+        if not is_prime(p):
             raise InvalidWitness(f"{p} is not prime for witness r={r}")
         if k % p == 0:
             raise InvalidWitness(f"witness prime {p} divides k")
@@ -391,9 +391,9 @@ def construct_prop_double_prime(k: int, p: int,
 def _prop_double_prime(k: int, p: int, kf: Factorization) -> Solution:
     if p < 2:
         raise InvalidWitness("p must be a prime >= 2")
-    if not is_probable_prime(p).is_prime:
+    if not is_prime(p):
         raise InvalidWitness(f"p={p} is not prime")
-    if not is_probable_prime(2 * p - 1).is_prime:
+    if not is_prime(2 * p - 1):
         raise InvalidWitness(f"2p-1={2 * p - 1} is not prime")
     if gcd(p, k) != 1 or gcd(2 * p - 1, k) != 1:
         raise InvalidWitness("p and 2p-1 must be coprime to k")

@@ -9,7 +9,11 @@ above, one gcd with the product of the primes <= 997 and then the strong
 base-2 test. `confirm` settles what the screen passed: Prime below 1009**2,
 the strong-pseudoprime bases 3..37 below 2**64, the strong Lucas test above.
 A Composite verdict found by a factor carries the smallest prime factor as
-its witness.
+its witness. `is_prime` gives the same answer as a bool, with no verdict below
+1009**2; certification takes it (`Factorization.validate`, `factorize`, the
+witness checks in `constructions`, sequence generation and validation).
+Where a verdict is reported (C1, the search and its cache, the CLI),
+`is_probable_prime` or the two stages run.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "Verdict",
     "PrimalityVerdict",
     "confirm",
+    "is_prime",
     "is_probable_prime",
     "primes_upto",
     "presieve",
@@ -271,6 +276,14 @@ def is_probable_prime(n: int) -> PrimalityVerdict:
     """
     screened = screen(n)
     return screened if screened is not None else confirm(n)
+
+
+def is_prime(n: int) -> bool:
+    """`is_probable_prime(n).is_prime` from the same stages; below 1009**2 one
+    table lookup (n < 2 first, as a negative index would wrap)."""
+    if n < SPF_LIMIT:
+        return n >= 2 and not spf_table()[n]
+    return screen(n) is None and confirm(n).verdict is not Verdict.COMPOSITE
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 
 from .arith import Factorization, iter_divisors, star_divides
-from .primality import is_probable_prime
+from .primality import is_prime
 
 __all__ = [
     "MAX_BOUND",
@@ -128,7 +128,7 @@ def _generate(variant: SequenceVariant, bound: int) -> PrimeSequence:
     while True:
         for d in divisors[bisect_right(divisors, (last_generated - offset) // scale):]:
             p = scale * d + offset
-            if p not in seen and is_probable_prime(p).is_prime and rule(p, product):
+            if p not in seen and is_prime(p) and rule(p, product):
                 break
         else:
             break
@@ -170,7 +170,7 @@ def validate_sequence(seq: PrimeSequence) -> None:
     product = 1
     generated_prev = 1
     for i, p in enumerate(seq.terms):
-        if not is_probable_prime(p).is_prime:
+        if not is_prime(p):
             raise ValueError(f"term {p} is not prime")
         if p > seq.search_bound:
             raise ValueError(f"term {p} beyond the search bound")

@@ -176,9 +176,9 @@ class TestFactorize:
 
         def counting(m):
             tested.append(m)
-            return primality.is_probable_prime(m)
+            return primality.is_prime(m)
 
-        monkeypatch.setattr(arith, "is_probable_prime", counting)
+        monkeypatch.setattr(arith, "is_prime", counting)
         assert dict(factorize(n).factors) == sympy.factorint(n)
         assert len(tested) == len(set(tested)), tested
 

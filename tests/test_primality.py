@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from totient_forge import primality
+from totient_forge.arith import Factorization, factorize
 from totient_forge.primality import (
     DETERMINISTIC_LIMIT,
     PRESIEVE_BOUND,
@@ -16,6 +17,7 @@ from totient_forge.primality import (
     Verdict,
     _mr_composite,
     confirm,
+    is_prime,
     is_probable_prime,
     presieve,
     primes_upto,
@@ -59,8 +61,8 @@ class TestIsPrimeSmall:
         # from sympy, and the witness of a composite is its smallest prime,
         # found by an ascending pass over the primes <= 997
         limit = primality.SPF_LIMIT
-        is_prime = np.zeros(limit, dtype=bool)
-        is_prime[list(sympy.primerange(limit))] = True
+        expected_prime = np.zeros(limit, dtype=bool)
+        expected_prime[list(sympy.primerange(limit))] = True
         smallest = np.zeros(limit, dtype=np.int64)
         for p in sympy.primerange(998):
             cells = smallest[2 * p :: p]
@@ -68,9 +70,11 @@ class TestIsPrimeSmall:
         verdicts = [is_probable_prime(n) for n in range(limit)]
         got_prime = np.array([v.is_prime for v in verdicts])
         got_witness = np.array([v.witness or 0 for v in verdicts])
-        assert not np.flatnonzero(got_prime != is_prime).tolist()
+        assert not np.flatnonzero(got_prime != expected_prime).tolist()
         assert not np.flatnonzero(got_witness != smallest).tolist()
         assert all(v.witness is None for v in verdicts if v.is_prime)
+        got_yes_no = np.array([is_prime(n) for n in range(limit)])
+        assert not np.flatnonzero(got_yes_no != expected_prime).tolist()
 
     def test_random_word_size_against_sympy(self):
         rng = random.Random(31337)
@@ -167,6 +171,54 @@ class TestIsProbablePrime:
             d = n - 1
             s = (d & -d).bit_length() - 1
             assert _mr_composite(n, w, d >> s, s)
+
+
+# pseudoprimes of the stages above: strong to base 2 (rejected by the table or
+# by a later base), strong to bases 2..31 with their smallest factor 151, and
+# strong Lucas pseudoprimes (rejected by base 2)
+_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 2152302898747,
+                 3474749660383, 341550071728321, 3825123056546413051, 3215031751,
+                 5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199)
+
+
+class TestIsPrime:
+    def test_matches_the_verdict_path(self):
+        rng = random.Random(2718)
+        trial_product = math.prod(primes_upto(1000).tolist())
+
+        def draw(lo, hi, count):
+            # half uniform, half coprime to the primes <= 997, so that
+            # confirm runs on them and primes and pseudoprimes appear
+            values = [rng.randrange(lo, hi) for _ in range(count // 2)]
+            while len(values) < count:
+                n = rng.randrange(lo, hi)
+                if math.gcd(n, trial_product) == 1:
+                    values.append(n)
+            return values
+
+        limit = primality.SPF_LIMIT
+        edges = [0, 1, 2, -1, limit - 1, limit, DETERMINISTIC_LIMIT - 1, DETERMINISTIC_LIMIT]
+        values = (draw(limit, DETERMINISTIC_LIMIT, 20_000) + draw(DETERMINISTIC_LIMIT, 2**340, 2_000)
+                  + edges + list(_PSEUDOPRIMES))
+        answers = {n: is_prime(n) for n in values}
+        assert not [n for n in values if answers[n] != is_probable_prime(n).is_prime]
+        assert not any(answers[n] for n in _PSEUDOPRIMES)
+        # primes were drawn on both sides of 2**64
+        assert any(answers[n] for n in values if limit <= n < DETERMINISTIC_LIMIT)
+        assert any(answers[n] for n in values if n > DETERMINISTIC_LIMIT)
+
+    def test_builds_no_verdict_below_the_table_limit(self, monkeypatch):
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("a PrimalityVerdict was built")
+
+        monkeypatch.setattr(primality, "PrimalityVerdict", no_verdict)
+        limit = primality.SPF_LIMIT
+        assert [n for n in range(-3, 200) if is_prime(n)] == list(sympy.primerange(200))
+        assert is_prime(limit - 1) is False and is_prime(1018057) is True
+        f = factorize(2**4 * 3 * 1009 * 1018057)
+        f.validate(deep=True)
+        with pytest.raises(ValueError, match="not prime"):
+            Factorization(((2, 1), (1018080, 1)), 2 * 1018080).validate(deep=True)
 
 
 class TestSieves:
