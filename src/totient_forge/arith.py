@@ -123,8 +123,8 @@ class Factorization:
                 quotient.append((p, e))
         return Factorization(tuple(quotient), self.value // d)
 
-    def validate(self, deep: bool = False) -> None:
-        """Check structural invariants; with deep=True re-test primality."""
+    def validate(self) -> None:
+        """Check the structural invariants and re-test every listed prime."""
         value = 1
         prev = 1
         for p, e in self.factors:
@@ -132,7 +132,7 @@ class Factorization:
                 raise ValueError("factors must have ascending primes, exponents >= 1")
             prev = p
             value *= p**e
-            if deep and not is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"listed factor {p} is not prime")
         if value != self.value:
             raise ValueError("stored value does not match factor product")
@@ -157,7 +157,7 @@ class Factorization:
             else:
                 pairs.append((int(token), 1))
         f = cls.from_pairs(pairs)
-        f.validate(deep=True)
+        f.validate()
         return f
 
 
@@ -237,7 +237,7 @@ def factorize(n: int, hint: Factorization | None = None) -> Factorization:
     if hint is not None:
         if hint.value != n:
             raise ValueError("factorization hint does not match the value")
-        hint.validate(deep=True)
+        hint.validate()
         return hint
     if n > DEFAULT_FACTORING_BOUND:
         raise FactoringBoundExceeded(

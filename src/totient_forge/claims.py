@@ -55,10 +55,8 @@ EXPECTED_NEW_BRANCH7_PREFIX = (
 )
 # fmt: on
 
-# bound chosen so the product clears 10^310; at 12011 exactly, the product
-# has decimal exponent 309
-NEW_BRANCH7_BOUND = 13000
 NEW_BRANCH7_MEMBER = 12011
+_C6_K_MAX = 2000
 
 _REPRO = "reproduce: totient-forge verify-claims --level {level}"
 
@@ -96,7 +94,7 @@ def claim_c1(cache_dir: Path) -> ClaimReport:
 
 def claim_c2(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq = generate_sequence(SequenceVariant.HASANALIZADE, 2 * 10**5)
+    seq = generate_sequence(SequenceVariant.HASANALIZADE)
     ok = seq.terms == EXPECTED_HASANALIZADE and seq.product > 4 * 10**58
     mant, exp = sequence_product_magnitude(seq)
     evidence = f"{len(seq.terms)} terms, last {seq.terms[-1]}, product {mant:.2f}e{exp}"
@@ -111,7 +109,7 @@ def claim_c2(cache_dir: Path) -> ClaimReport:
 
 def claim_c3(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq = generate_sequence(SequenceVariant.NEW_BASE, 10**8)
+    seq = generate_sequence(SequenceVariant.NEW_BASE)
     mant, exp = sequence_product_magnitude(seq)
     ok = seq.terms == EXPECTED_NEW_BASE and exp == 26
     evidence = f"{len(seq.terms)} terms, last {seq.terms[-1]}, product {mant:.2f}e{exp}"
@@ -120,9 +118,9 @@ def claim_c3(cache_dir: Path) -> ClaimReport:
 
 def claim_c4(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
-    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7)
+    seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23)
     mant23, exp23 = sequence_product_magnitude(seq23)
-    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND)
+    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7)
     mant7, exp7 = sequence_product_magnitude(seq7)
     ok = (
         seq23.terms == EXPECTED_NEW_BRANCH13_23
@@ -152,10 +150,10 @@ def claim_c5(cache_dir: Path) -> ClaimReport:
     return _report("C5", ok, evidence, t0)
 
 
-def claim_c6(cache_dir: Path, k_max: int = 2000) -> ClaimReport:
+def claim_c6(cache_dir: Path) -> ClaimReport:
     t0 = time.perf_counter()
     failures = []
-    for k in range(1, k_max + 1):
+    for k in range(1, _C6_K_MAX + 1):
         m2 = solve(k, 2)
         needed = MIN_SOLUTIONS[(2, k % 2)]
         if len(m2) < needed:
@@ -173,7 +171,7 @@ def claim_c6(cache_dir: Path, k_max: int = 2000) -> ClaimReport:
                 failures.append(f"k={k}, M=1: verification failure")
         if len(failures) > 4:
             break
-    evidence = "; ".join(failures) if failures else f"all k <= {k_max} satisfied the minimum counts"
+    evidence = "; ".join(failures) if failures else f"all k <= {_C6_K_MAX} satisfied the minimum counts"
     return _report("C6", not failures, evidence, t0)
 
 
@@ -219,7 +217,7 @@ _CLAIMS = {
     "C3": _Claim("quick", "base doubling sequence to 10^8: 13 terms ending 8713; product of order 6*10^26", claim_c3),
     "C4": _Claim("quick", "branch sequences: 27 terms ending 13565953 (~2*10^83); 7-branch prefix, 12011, >= 10^310", claim_c4),
     "C5": _Claim("quick", "enumeration k=6, M=2: exactly {4, 6, 7, 10} up to 10^6 and nothing new up to 10^7", claim_c5),
-    "C6": _Claim("quick", "k <= 2000: >= 3 solutions (even, M=2), >= 5 (odd, M=2), 5 Fermat solutions with distinct v2 (even, M=1)", claim_c6),
+    "C6": _Claim("quick", f"k <= {_C6_K_MAX}: >= 3 solutions (even, M=2), >= 5 (odd, M=2), 5 Fermat solutions with distinct v2 (even, M=1)", claim_c6),
     "C7": _Claim("full", "count table k <= 10^4, M=2, n <= 10^6: minimum 4, achieved only at k=6", claim_c7),
     "C8": _Claim("extreme", "witness search from 10^100 rediscovers the bundled r values (discrepancies reported)", claim_c8),
 }

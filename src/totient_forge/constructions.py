@@ -177,7 +177,7 @@ def solution_to_dict(s: Solution) -> dict:
 
 
 def _k_fact(k: int, k_fact: Factorization | None) -> Factorization:
-    """k's factorization, deep-validated when supplied, else computed."""
+    """k's factorization, validated when supplied, else computed."""
     if k < 1:
         raise NotApplicable("k must be >= 1")
     return factorize(k, hint=k_fact)
@@ -326,10 +326,6 @@ def _seq_solution(k: int, seq: PrimeSequence, kf: Factorization) -> Solution:
                   SeqWitness(seq.variant, index, p, a))
 
 
-_SOLVE_SEQ_BOUND = 10**4
-_HASANALIZADE_BOUND = 2 * 10**5
-
-
 def _ratio_solution(k: int, kf: Factorization, num: int, den: int) -> Solution:
     return _ratio(k, kf, 2, factorize(num), den, factorize(num + den), Method.SEQ_NEW,
                   RatioWitness(num, den), error=BranchHypothesisUnmet)
@@ -363,12 +359,13 @@ def _even_m2_branch(k: int, kf: Factorization) -> Solution:
             return _seq_solution_with_retry(k, kf, SequenceVariant.NEW_BRANCH13_23)
         if k % 19 == 0:
             return _ratio_solution(k, kf, 66, 95)
-    seq = generate_sequence(SequenceVariant.NEW_BASE, _SOLVE_SEQ_BOUND)
-    return _seq_solution(k, seq, kf)
+    return _seq_solution(k, generate_sequence(SequenceVariant.NEW_BASE), kf)
 
 
 def _seq_solution_with_retry(k, kf, variant) -> Solution:
-    bound = _SOLVE_SEQ_BOUND
+    # rungs 100x apart from the variant's bound while every term divides k:
+    # newbranch7 13,000, 1.3*10^6, 1.3*10^8; newbranch13_23 its bound alone
+    bound = variant.bound
     while True:
         try:
             return _seq_solution(k, generate_sequence(variant, bound), kf)
@@ -437,7 +434,7 @@ def verify_solution(s: Solution) -> bool:
     def fact_of(value: int, carried: Factorization | None) -> Factorization:
         if carried is not None and carried.value == value:
             try:
-                carried.validate(deep=True)
+                carried.validate()
                 return carried
             except ValueError:
                 pass  # a listed factor is not prime: factor the value afresh
@@ -526,8 +523,7 @@ def solve(
     elif M == 2:
         attempt(_even_m2_branch, k, kf)
         attempt(_makowski, k, kf)
-        seq = generate_sequence(SequenceVariant.HASANALIZADE, _HASANALIZADE_BOUND)
-        attempt(_seq_solution, k, seq, kf)
+        attempt(_seq_solution, k, generate_sequence(SequenceVariant.HASANALIZADE), kf)
     if with_witness_search and M == 2:
         found.extend(_scan_divisors(kf, lambda d: _prop_double_prime(k, d + 1, kf)))
         if k % 2 == 0:

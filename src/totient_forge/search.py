@@ -2,12 +2,12 @@
 
 Candidates are scanned in increasing order in blocks that grow geometrically,
 so the first hit is the minimal r. A block whose forms are all below 1009**2
-is not presieved: `is_probable_prime` there is one lookup in the
-smallest-prime-factor table, as cheap as a strike. Any other block is
-presieved against the primes up to min(PRESIEVE_BOUND, sqrt of its largest
-form), all 9,592 primes <= 10^5 once b*r passes 10^10, and the scan jumps
-from survivor to survivor of the mask (under 1% of a 10^40..10^100 block)
-instead of visiting every candidate.
+is not presieved: `screen` there is one lookup in the smallest-prime-factor
+table, as cheap as a strike. Any other block is presieved against the primes
+up to min(PRESIEVE_BOUND, sqrt of its largest form), all 9,592 primes
+<= 10^5 once b*r passes 10^10, and the scan jumps from survivor to survivor
+of the mask (under 1% of a 10^40..10^100 block) instead of visiting every
+candidate.
 
 A survivor is a hit when both forms pass `is_probable_prime`, whose two
 stages run form by form: `screen` (a table lookup below 1009**2, else the gcd
@@ -192,14 +192,13 @@ def search_pair_r(
         raise LimitExhausted(f"no qualifying r in [{first}, {limit}) for a={task.a}, b={task.b}")
     result = PairSearchResult(result.r, result.p1, result.p2, result.verdicts, tested_total)
     if cache_path is not None:
-        verdicts = [v.verdict.value for v in result.verdicts]
-        write_record(cache_path, key, [str(result.r), *verdicts, str(tested_total)])
+        write_record(cache_path, key, [str(result.r), str(tested_total)])
     return result
 
 
 # ---------------------------------------------------------------------------
 # result cache: one record per (a, b, start, parity, limit) key, whose body is
-# r, both verdicts and the candidates tested
+# r and the candidates tested; both verdicts are re-derived on load
 
 
 def _load_cached(path: Path, key: str, task: PairSearchTask, limit: int) -> PairSearchResult | None:
@@ -208,7 +207,7 @@ def _load_cached(path: Path, key: str, task: PairSearchTask, limit: int) -> Pair
         body = read_record(path, key)
         if body is None:
             return None
-        r_line, verdict1, verdict2, tested_line = body
+        r_line, tested_line = body
         r, tested = int(r_line), int(tested_line)
         if not task.start <= r < limit or (task.parity is Parity.EVEN_ONLY and r % 2):
             raise ValueError("cached r violates the task")
@@ -216,8 +215,6 @@ def _load_cached(path: Path, key: str, task: PairSearchTask, limit: int) -> Pair
             raise ValueError("a scan tests at least its hit")
         p1, p2 = task.a * r + 1, task.b * r + 1
         v1, v2 = is_probable_prime(p1), is_probable_prime(p2)
-        if v1.verdict.value != verdict1 or v2.verdict.value != verdict2:
-            raise ValueError("cached verdicts no longer reproduce")
         if not (v1.is_prime and v2.is_prime):
             raise ValueError("cached r is not a witness")
         return PairSearchResult(r, p1, p2, (v1, v2), tested)

@@ -11,8 +11,10 @@ the doubling rules ("new" variants) admit p = 2a + 1 when
 Each variant starts from a forced prefix, exempt from the rules (branch
 variants deliberately reorder small primes), and then greedily appends the
 smallest qualifying prime, strictly increasing among generated terms.
-Every (variant, bound) the system uses generates in milliseconds, so a
-sequence is generated once per process and memoized, never stored on disk.
+Each variant has one bound, at which `solve` and the claims generate it; a
+larger bound only appends terms. Every variant generates at its bound in
+milliseconds, so a sequence is generated once per process and memoized,
+never stored on disk.
 
 The product is squarefree, so each qualifying p is d + 2 or 2d - 1 for
 exactly one divisor d of it: generation walks the product's sorted divisors,
@@ -44,11 +46,14 @@ __all__ = [
 # the long branch sequences grow with the bound
 MAX_BOUND = (10**8 + 1) ** 2 - 1
 
-_PREFIXES = {
-    "hasanalizade": (3,),
-    "newbase": (2,),
-    "newbranch7": (2, 3, 5, 11, 7),
-    "newbranch13_23": (2, 3, 5, 11, 13, 23),
+# each variant's forced prefix and bound
+_PREFIX_AND_BOUND = {
+    "hasanalizade": ((3,), 2 * 10**5),
+    "newbase": ((2,), 10**8),
+    # bound chosen so the product clears 10^310; at a bound of 12011
+    # exactly, the product has decimal exponent 309
+    "newbranch7": ((2, 3, 5, 11, 7), 13_000),
+    "newbranch13_23": ((2, 3, 5, 11, 13, 23), 2 * 10**7),
 }
 
 
@@ -60,7 +65,11 @@ class SequenceVariant(Enum):
 
     @property
     def prefix(self) -> tuple[int, ...]:
-        return _PREFIXES[self.value]
+        return _PREFIX_AND_BOUND[self.value][0]
+
+    @property
+    def bound(self) -> int:
+        return _PREFIX_AND_BOUND[self.value][1]
 
     @property
     def uses_aux(self) -> bool:
@@ -69,18 +78,27 @@ class SequenceVariant(Enum):
 
 @dataclass(frozen=True)
 class PrimeSequence:
-    """A generated sequence: full term list, forced prefix, aux values a_i.
-
-    aux is parallel to terms for the doubling variants: aux[i] = (p-1)/2 for
-    odd terms and 0 as a placeholder for the initial 2. Empty otherwise.
-    """
+    """A generated sequence: its variant, full term list and search bound."""
 
     variant: SequenceVariant
-    prefix: tuple[int, ...]
     terms: tuple[int, ...]
-    aux: tuple[int, ...]
-    product: int
     search_bound: int
+
+    @property
+    def prefix(self) -> tuple[int, ...]:
+        return self.variant.prefix
+
+    @property
+    def product(self) -> int:
+        return math.prod(self.terms)
+
+    @property
+    def aux(self) -> tuple[int, ...]:
+        """The a_i of the doubling variants, parallel to terms: (p-1)/2 for
+        odd terms and 0 as a placeholder for the initial 2. Empty otherwise."""
+        if not self.variant.uses_aux:
+            return ()
+        return tuple((p - 1) // 2 if p % 2 else 0 for p in self.terms)
 
 
 def _hasanalizade_ok(p: int, product: int) -> bool:
@@ -100,22 +118,23 @@ def _rule(variant: SequenceVariant):
 
 def generate_sequence(
     variant: SequenceVariant,
-    bound: int,
+    bound: int | None = None,
     cache_dir: Path | str | None = None,
 ) -> PrimeSequence:
-    """The variant's sequence up to `bound`, generated once per process.
+    """The variant's sequence up to `bound` (default: the variant's bound),
+    generated once per process.
 
     `cache_dir` is unused: sequences are memoized in memory, never stored.
     """
+    return _generate(variant, variant.bound if bound is None else bound)
+
+
+@functools.cache  # an exception is not cached: a rejected bound raises every time
+def _generate(variant: SequenceVariant, bound: int) -> PrimeSequence:
     if bound < max(variant.prefix):
         raise ValueError("bound must cover the forced prefix")
     if bound > MAX_BOUND:
         raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")
-    return _generate(variant, bound)
-
-
-@functools.cache
-def _generate(variant: SequenceVariant, bound: int) -> PrimeSequence:
     rule = _rule(variant)
     # p = scale*d + offset for a divisor d of the product; p increases with d
     scale, offset = (1, 2) if variant is SequenceVariant.HASANALIZADE else (2, -1)
@@ -138,14 +157,7 @@ def _generate(variant: SequenceVariant, bound: int) -> PrimeSequence:
         last_generated = p
         multiples = [d * p for d in divisors[: bisect_right(divisors, cap // p)]]
         divisors = sorted(divisors + multiples)
-    aux = _aux_for(variant, terms)
-    return PrimeSequence(variant, variant.prefix, tuple(terms), aux, product, bound)
-
-
-def _aux_for(variant: SequenceVariant, terms) -> tuple[int, ...]:
-    if not variant.uses_aux:
-        return ()
-    return tuple((p - 1) // 2 if p % 2 else 0 for p in terms)
+    return PrimeSequence(variant, tuple(terms), bound)
 
 
 def sequence_product_magnitude(seq: PrimeSequence) -> tuple[float, int]:
@@ -160,10 +172,8 @@ def sequence_product_magnitude(seq: PrimeSequence) -> tuple[float, int]:
 
 def validate_sequence(seq: PrimeSequence) -> None:
     """Re-check every invariant of a generated sequence; raise on violation."""
-    if tuple(seq.terms[: len(seq.prefix)]) != tuple(seq.prefix):
+    if tuple(seq.terms[: len(seq.prefix)]) != seq.prefix:
         raise ValueError("sequence does not start with its forced prefix")
-    if seq.prefix != seq.variant.prefix:
-        raise ValueError("prefix does not match the variant")
     if len(set(seq.terms)) != len(seq.terms):
         raise ValueError("repeated term")
     rule = _rule(seq.variant)
@@ -181,7 +191,3 @@ def validate_sequence(seq: PrimeSequence) -> None:
                 raise ValueError(f"term {p} violates the generation rules")
             generated_prev = p
         product *= p
-    if product != seq.product:
-        raise ValueError("stored product mismatch")
-    if seq.aux != _aux_for(seq.variant, seq.terms):
-        raise ValueError("aux values mismatch")

@@ -26,7 +26,6 @@ from totient_forge.claims import (
     EXPECTED_NEW_BASE,
     EXPECTED_NEW_BRANCH7_PREFIX,
     EXPECTED_NEW_BRANCH13_23,
-    NEW_BRANCH7_BOUND,
     claim_c2,
     claim_c4,
 )
@@ -100,7 +99,7 @@ def test_c3_new_base_sequence():
 def test_c4_branch_sequences(cache_dir):
     seq23 = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 2 * 10**7)
     mant23, exp23 = sequence_product_magnitude(seq23)
-    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, NEW_BRANCH7_BOUND)
+    seq7 = generate_sequence(SequenceVariant.NEW_BRANCH7, 13000)
     _, exp7 = sequence_product_magnitude(seq7)
     expected23 = math.prod(EXPECTED_NEW_BRANCH13_23)
     report = claim_c4(cache_dir)

@@ -96,7 +96,7 @@ class TestFactorize:
             n = rng.randrange(1, 10**12)
             f = factorize(n)
             assert f.value == n
-            f.validate(deep=True)
+            f.validate()
             if i < 500:  # independent spot-check
                 assert dict(f.factors) == dict(sympy.factorint(n))
 
@@ -117,7 +117,7 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(12, hint=Factorization.from_pairs([(2, 2)]))
         with pytest.raises(ValueError):
-            # 4 is not prime: deep validation must refuse it
+            # 4 is not prime: validation must refuse it
             factorize(12, hint=Factorization(((3, 1), (4, 1)), 12))
 
     def test_semiprime_needs_rho(self):

@@ -342,7 +342,7 @@ sys.exit(main(["--cache-dir", {str(tmp_path)!r}, "verify-claims", "--level", "qu
         ("C1", "quick", ("verify_r_table", lambda: [
             RTableRow(0, 4, is_probable_prime(9), is_probable_prime(13))])),
         ("C2", "quick", None),
-        ("C3", "quick", ("generate_sequence", lambda variant, bound: generate_sequence(variant, 100))),
+        ("C3", "quick", ("generate_sequence", lambda variant: generate_sequence(variant, 100))),
         ("C4", "quick", None),
         ("C5", "quick", ("enumerate_solutions", lambda k, M, limit: SimpleNamespace(solutions=(4, 6, 7)))),
         ("C6", "quick", ("solve", lambda *args, **kwargs: [])),

@@ -136,8 +136,8 @@ class TestSequenceSolutions:
     # composite terms: 25 would give n = 150 with "2 * 3 * 25", 9 would give
     # n = 8, and neither satisfies the equation
     @pytest.mark.parametrize("k,seq", [
-        (138, PrimeSequence(SequenceVariant.HASANALIZADE, (3,), (3, 25), (), 75, 10**4)),
-        (10, PrimeSequence(SequenceVariant.NEW_BASE, (2,), (2, 9), (0, 4), 18, 100)),
+        (138, PrimeSequence(SequenceVariant.HASANALIZADE, (3, 25), 10**4)),
+        (10, PrimeSequence(SequenceVariant.NEW_BASE, (2, 9), 100)),
     ])
     def test_unvalidated_sequence_rejected(self, k, seq):
         with pytest.raises(InvalidWitness, match="not prime"):
@@ -353,16 +353,17 @@ class TestSolve:
         assert all(verify_solution(s) for s in sols)
 
     def test_branch_sequence_retried_at_a_larger_bound(self):
-        # k is the product of every newbranch7 term below 10^4, 2*3*5*11*7
-        # among them: the 7 branch runs out of terms coprime to k at that
-        # bound, and the next rung of the ladder supplies term 96
-        seq = generate_sequence(SequenceVariant.NEW_BRANCH7, 10**4)
-        assert len(seq.terms) == 95
+        # k is the product of every newbranch7 term up to the variant's bound
+        # of 13,000, 2*3*5*11*7 among them: the 7 branch runs out of terms
+        # coprime to k at that bound, and the next rung of the ladder
+        # supplies term 106
+        seq = generate_sequence(SequenceVariant.NEW_BRANCH7)
+        assert (seq.search_bound, len(seq.terms)) == (13_000, 105)
         k = seq.product
         kf = Factorization.from_pairs((p, 1) for p in seq.terms)
         branch, makowski = solve_even_m2(k, k_fact=kf)
         assert branch.method == "SeqNew"
-        assert branch.witnesses == (SeqWitness(SequenceVariant.NEW_BRANCH7, 96, 10459, 5229),)
+        assert branch.witnesses == (SeqWitness(SequenceVariant.NEW_BRANCH7, 106, 13613, 6806),)
         assert verify_solution(branch)
         assert makowski == construct_makowski(k, 2, kf)
 

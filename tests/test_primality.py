@@ -216,9 +216,9 @@ class TestIsPrime:
         assert [n for n in range(-3, 200) if is_prime(n)] == list(sympy.primerange(200))
         assert is_prime(limit - 1) is False and is_prime(1018057) is True
         f = factorize(2**4 * 3 * 1009 * 1018057)
-        f.validate(deep=True)
+        f.validate()
         with pytest.raises(ValueError, match="not prime"):
-            Factorization(((2, 1), (1018080, 1)), 2 * 1018080).validate(deep=True)
+            Factorization(((2, 1), (1018080, 1)), 2 * 1018080).validate()
 
 
 class TestSieves:

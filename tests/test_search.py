@@ -205,7 +205,7 @@ class TestCache:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")  # drop a body line and the trailer
         assert search_pair_r(task, cache_dir=tmp_path) == search_pair_r(task, use_cache=False)
-        assert path.read_text().splitlines()[-1] == "# count=4"
+        assert path.read_text().splitlines()[-1] == "# count=2"
 
     def test_wrong_r_in_cache_rejected(self, tmp_path):
         task = PairSearchTask(a=2, b=3, start=1)

@@ -156,15 +156,43 @@ class TestGeneration:
         has = generate_sequence(SequenceVariant.HASANALIZADE, 100)
         assert has.aux == ()
 
+    def test_variant_bounds(self):
+        # the bounds at which the claims reproduce the published sequences
+        assert {v: v.bound for v in SequenceVariant} == {
+            SequenceVariant.HASANALIZADE: 2 * 10**5,
+            SequenceVariant.NEW_BASE: 10**8,
+            SequenceVariant.NEW_BRANCH7: 13_000,
+            SequenceVariant.NEW_BRANCH13_23: 2 * 10**7,
+        }
+        for variant in SequenceVariant:
+            assert generate_sequence(variant) is generate_sequence(variant, variant.bound)
+
     def test_validator_rejects_tampering(self):
         seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4)
         validate_sequence(seq)
-        broken = PrimeSequence(
-            seq.variant, seq.prefix, seq.terms + (7,),
-            seq.aux + (3,), seq.product * 7, seq.search_bound,
-        )
+        broken = PrimeSequence(seq.variant, seq.terms + (7,), seq.search_bound)
         with pytest.raises(ValueError):
             validate_sequence(broken)
+
+    # each sequence breaks exactly one invariant, and only its check catches it
+    @pytest.mark.parametrize("seq,message", [
+        pytest.param(PrimeSequence(SequenceVariant.NEW_BRANCH7, (2, 3, 5, 7, 11), 100),
+                     "does not start with its forced prefix", id="prefix"),
+        # 3 after the prefix is the first generated term and obeys the rule
+        pytest.param(PrimeSequence(SequenceVariant.NEW_BRANCH7, (2, 3, 5, 11, 7, 3), 100),
+                     "repeated term", id="repeat"),
+        pytest.param(PrimeSequence(SequenceVariant.NEW_BASE, (2, 3, 5, 11), 10),
+                     "term 11 beyond the search bound", id="bound"),
+        # 19 qualifies after 2*3*5 (a = 9, a + 1 = 10), and 11 still does after it
+        pytest.param(PrimeSequence(SequenceVariant.NEW_BASE, (2, 3, 5, 19, 11), 100),
+                     "generated terms must increase", id="order"),
+        # 7 = 2*3 + 1 needs a + 1 = 4 to divide the product 6
+        pytest.param(PrimeSequence(SequenceVariant.NEW_BASE, (2, 3, 7), 100),
+                     "term 7 violates the generation rules", id="rule"),
+    ])
+    def test_validator_names_the_broken_invariant(self, seq, message):
+        with pytest.raises(ValueError, match=message):
+            validate_sequence(seq)
 
 
 class TestMagnitude:
