@@ -6,8 +6,6 @@ from .arith import (
     FactoringBoundExceeded,
     Factorization,
     factorize,
-    gcd,
-    radical,
     star_divides,
     totient,
     v2,

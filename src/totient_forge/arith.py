@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, totients, radicals.
+"""Exact integer arithmetic: factorization, totients, star-divisibility.
 
 All values are plain Python ints (arbitrary precision). Factorizations are
 certified: every stored prime passes the probable-prime test, and huge inputs
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +25,7 @@ __all__ = [
     "FactoringBoundExceeded",
     "Factorization",
     "factorize",
-    "gcd",
     "iter_divisors",
-    "radical",
     "star_divides",
     "totient",
     "v2",
@@ -42,8 +40,7 @@ class FactoringBoundExceeded(ValueError):
     """Raised when blind factoring is requested above DEFAULT_FACTORING_BOUND."""
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization as ((prime, exponent), ...) with ascending primes."""
 
     factors: tuple[tuple[int, int], ...]
@@ -67,12 +64,6 @@ class Factorization:
         result = 1
         for p, e in self.factors:
             result *= p ** (e - 1) * (p - 1)
-        return result
-
-    def radical(self) -> int:
-        result = 1
-        for p, _ in self.factors:
-            result *= p
         return result
 
     def times(self, other: "Factorization") -> "Factorization":
@@ -282,13 +273,6 @@ def totient(n) -> int:
     """Euler's totient, from an int (factored here) or a Factorization."""
     f = n if isinstance(n, Factorization) else factorize(n)
     return f.totient()
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
-    if n < 1:
-        raise ValueError("radical requires n >= 1")
-    return factorize(n).radical()
 
 
 def star_divides(a: int, b: int) -> bool:

@@ -22,14 +22,20 @@ Error vocabulary (part of the public contract):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
 from enum import Enum
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import Factorization, factorize, iter_divisors, star_divides
 from .primality import is_prime
-from .search import FERMAT_PRIMES, LimitExhausted, fermat_pair_task, search_pair_r
+from .search import (
+    DEFAULT_CANDIDATE_BUDGET,
+    FERMAT_PRIMES,
+    LimitExhausted,
+    fermat_pair_task,
+    search_pair_r,
+)
 from .sequences import PrimeSequence, SequenceVariant, generate_sequence, validate_sequence
 
 __all__ = [
@@ -101,8 +107,7 @@ class Method(Enum):
     PROP_PHI_PAIR = "PropPhiPair"
 
 
-@dataclass(frozen=True)
-class FermatWitness:
+class FermatWitness(NamedTuple):
     m: int
     case: int
     r: int | None = None
@@ -112,8 +117,7 @@ class FermatWitness:
         return f"m={self.m},case={self.case}{r}"
 
 
-@dataclass(frozen=True)
-class PropWitness:
+class PropWitness(NamedTuple):
     p: int | None = None
     m_param: int | None = None
 
@@ -121,8 +125,7 @@ class PropWitness:
         return f"p={self.p}" if self.p is not None else f"m_param={self.m_param}"
 
 
-@dataclass(frozen=True)
-class SeqWitness:
+class SeqWitness(NamedTuple):
     variant: SequenceVariant
     index: int  # 1-based position of the selected term
     p: int
@@ -133,8 +136,7 @@ class SeqWitness:
         return f"variant={self.variant.value},index={self.index},p={self.p}{a}"
 
 
-@dataclass(frozen=True)
-class RatioWitness:
+class RatioWitness(NamedTuple):
     num: int
     den: int
 
@@ -142,8 +144,7 @@ class RatioWitness:
         return f"num={self.num},den={self.den}"
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A certified solution: totient(n+k) = M * totient(n) holds exactly."""
 
     k: int
@@ -265,6 +266,36 @@ def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solutio
             raise InvalidWitness(f"witness prime {p} divides k")
     return _ratio(k, kf, M, power_f.times_prime(p2), 1, fermat_f.times_prime(p1),
                   Method.FERMAT_CASE2, FermatWitness(m, 2, r))
+
+
+# The pair witnesses r of each F_m found so far, ascending, with every witness
+# below the last one listed; kept for the life of the process, never on disk.
+_FERMAT_WITNESSES: tuple[list[int], ...] = tuple([] for _ in FERMAT_PRIMES)
+# the limit of the avoid search from r = 1, so the same k exhaust both
+_FERMAT_WITNESS_LIMIT = 2 + 2 * DEFAULT_CANDIDATE_BUDGET
+
+
+def _fermat_witness(m: int, k: int) -> int:
+    """The smallest pair witness r of F_m with neither (F_m - 1)*r + 1 nor
+    F_m*r + 1 dividing k: the r of
+    search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=k)).
+
+    Each prime of k excludes at most two witnesses. The list grows, by an
+    uncached search past its last entry, only when every listed one is
+    excluded.
+    """
+    fermat = FERMAT_PRIMES[m]
+    witnesses = _FERMAT_WITNESSES[m]
+    i = 0
+    while True:
+        if i == len(witnesses):
+            task = fermat_pair_task(m, witnesses[-1] + 1 if witnesses else 1,
+                                    limit=_FERMAT_WITNESS_LIMIT)
+            witnesses.append(search_pair_r(task, use_cache=False).r)
+        r = witnesses[i]
+        if k % ((fermat - 1) * r + 1) and k % (fermat * r + 1):
+            return r
+        i += 1
 
 
 def construct_fermat_m1(k: int, m: int, r: int | None = None,
@@ -456,8 +487,8 @@ def _merge(solutions) -> list[Solution]:
             by_n[s.n] = s
         else:
             tags = sorted(set(cur.method.split("+")) | set(s.method.split("+")))
-            by_n[s.n] = replace(cur, method="+".join(tags),
-                                witnesses=cur.witnesses + s.witnesses)
+            by_n[s.n] = cur._replace(method="+".join(tags),
+                                     witnesses=cur.witnesses + s.witnesses)
     return [by_n[n] for n in sorted(by_n)]
 
 
@@ -488,11 +519,13 @@ def solve(
 ) -> list[Solution]:
     """All solutions the applicable constructions produce for (k, M).
 
-    Fermat constructions search a minimal witness r from 1 whenever the
-    Fermat prime divides k. Failures of individual constructions are logged
-    and skipped, never fatal. Results are deduplicated by n (method tags
-    merged) and sorted ascending. `cache_dir` is unused: these searches avoid
-    k's divisors and are never cached, and sequences are memoized in memory.
+    Whenever the Fermat prime F_m divides k, its construction takes the
+    minimal witness r whose forms do not divide k, read from a per-process
+    list of F_m's witnesses, which an uncached search extends only when
+    every listed one is excluded. Failures of individual constructions are
+    logged and skipped, never fatal. Results are deduplicated by n (method
+    tags merged) and sorted ascending. `cache_dir` is unused: witnesses and
+    sequences are kept in memory, never on disk.
     """
     if M not in (1, 2):
         raise ValueError("M must be 1 or 2")
@@ -508,9 +541,7 @@ def solve(
             log.warning("witness search exhausted for k=%s: %s", k, exc)
 
     def fermat_with_search(m: int):
-        r = None
-        if gcd(FERMAT_PRIMES[m], k) != 1:
-            r = search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=k)).r
+        r = _fermat_witness(m, k) if k % FERMAT_PRIMES[m] == 0 else None
         return _fermat(k, m, r, M, kf)
 
     if M == 1 and k % 2 == 0:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class Verdict(Enum):
     COMPOSITE = "Composite"
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     """Outcome of a primality test.
 
     For Composite results the witness is the smallest prime factor when the

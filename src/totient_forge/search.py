@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import default_cache_dir, read_record, write_record
 from .primality import (
@@ -104,8 +105,7 @@ def fermat_pair_task(m: int, start: int, limit: int | None = None,
                           avoid_divisors_of=avoid_divisors_of, limit=limit)
 
 
-@dataclass(frozen=True)
-class PairSearchResult:
+class PairSearchResult(NamedTuple):
     r: int
     p1: int
     p2: int
@@ -190,7 +190,7 @@ def search_pair_r(
 
     if result is None:
         raise LimitExhausted(f"no qualifying r in [{first}, {limit}) for a={task.a}, b={task.b}")
-    result = PairSearchResult(result.r, result.p1, result.p2, result.verdicts, tested_total)
+    result = result._replace(candidates_tested=tested_total)
     if cache_path is not None:
         write_record(cache_path, key, [str(result.r), str(tested_total)])
     return result

@@ -46,30 +46,23 @@ __all__ = [
 # the long branch sequences grow with the bound
 MAX_BOUND = (10**8 + 1) ** 2 - 1
 
-# each variant's forced prefix and bound
-_PREFIX_AND_BOUND = {
-    "hasanalizade": ((3,), 2 * 10**5),
-    "newbase": ((2,), 10**8),
-    # bound chosen so the product clears 10^310; at a bound of 12011
-    # exactly, the product has decimal exponent 309
-    "newbranch7": ((2, 3, 5, 11, 7), 13_000),
-    "newbranch13_23": ((2, 3, 5, 11, 13, 23), 2 * 10**7),
-}
-
 
 class SequenceVariant(Enum):
-    HASANALIZADE = "hasanalizade"
-    NEW_BASE = "newbase"
-    NEW_BRANCH7 = "newbranch7"
-    NEW_BRANCH13_23 = "newbranch13_23"
+    """A variant, with its forced prefix and its bound as attributes."""
 
-    @property
-    def prefix(self) -> tuple[int, ...]:
-        return _PREFIX_AND_BOUND[self.value][0]
+    HASANALIZADE = ("hasanalizade", (3,), 2 * 10**5)
+    NEW_BASE = ("newbase", (2,), 10**8)
+    # bound chosen so the product clears 10^310; at a bound of 12011
+    # exactly, the product has decimal exponent 309
+    NEW_BRANCH7 = ("newbranch7", (2, 3, 5, 11, 7), 13_000)
+    NEW_BRANCH13_23 = ("newbranch13_23", (2, 3, 5, 11, 13, 23), 2 * 10**7)
 
-    @property
-    def bound(self) -> int:
-        return _PREFIX_AND_BOUND[self.value][1]
+    def __new__(cls, value: str, prefix: tuple[int, ...], bound: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.prefix = prefix
+        member.bound = bound
+        return member
 
     @property
     def uses_aux(self) -> bool:

@@ -13,9 +13,7 @@ from totient_forge.arith import (
     FactoringBoundExceeded,
     Factorization,
     factorize,
-    gcd,
     iter_divisors,
-    radical,
     star_divides,
     totient,
     v2,
@@ -30,19 +28,14 @@ def phi_by_count(n: int) -> int:
     return int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
 
 
-class TestGcd:
-    def test_zero(self):
-        assert gcd(0, 7) == 7
-
-    def test_multiple(self):
-        assert gcd(17, 34) == 17
-
-    def test_desk(self):
-        # 56032 = 2^5 * 17 * 103 and 56066 = 2 * 17^2 * 97 share 2 * 17
-        assert gcd(56032, 56066) == 34
+def radical(n: int) -> int:
+    """Reference radical for the identity tests: the product of n's primes."""
+    return math.prod(p for p, _ in factorize(n).factors)
 
 
 class TestRadical:
+    """The reference radical on known values."""
+
     @pytest.mark.parametrize("n,expected", [(1, 1), (12, 6), (56032, 3502), (8, 2)])
     def test_values(self, n, expected):
         assert radical(n) == expected

@@ -5,11 +5,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totient_forge import constructions
 from totient_forge.arith import Factorization, v2
 from totient_forge.claims import EXPECTED_NEW_BRANCH13_23
 from totient_forge.constructions import (
     AllTermsDivideK,
     CannotVerify,
+    FermatWitness,
     InvalidWitness,
     MissingWitness,
     NotApplicable,
@@ -28,6 +30,8 @@ from totient_forge.constructions import (
     solve_even_m2,
     verify_solution,
 )
+from totient_forge.primality import is_probable_prime
+from totient_forge.search import FERMAT_PRIMES, fermat_pair_task, search_pair_r
 from totient_forge.sequences import PrimeSequence, SequenceVariant, generate_sequence
 
 
@@ -428,3 +432,60 @@ class TestSerialization:
             "k": "6", "M": 2, "n": "6", "method": "Makowski",
             "witnesses": [], "n_factors": "2 * 3",
         }
+
+
+def _leading_forms(m: int, count: int) -> list[tuple[int, int]]:
+    """((F_m - 1)*r + 1, F_m*r + 1) for F_m's first `count` pair witnesses r."""
+    fermat, forms, r = FERMAT_PRIMES[m], [], 0
+    for _ in range(count):
+        r = search_pair_r(fermat_pair_task(m, r + 1), use_cache=False).r
+        forms.append(((fermat - 1) * r + 1, fermat * r + 1))
+    return forms
+
+
+def _case2_r(kf: Factorization, M: int, m: int) -> int:
+    """The witness r of solve's FermatCase2 solution for F_m."""
+    [r] = [w.r for s in solve(kf.value, M, k_fact=kf) for w in s.witnesses
+           if isinstance(w, FermatWitness) and (w.m, w.case) == (m, 2)]
+    return r
+
+
+def _cold_witness_lists(monkeypatch) -> None:
+    monkeypatch.setattr(constructions, "_FERMAT_WITNESSES", tuple([] for _ in FERMAT_PRIMES))
+
+
+class TestFermatWitnessList:
+    @pytest.mark.parametrize("m", range(5))
+    def test_list_gives_the_avoid_search_r(self, m, monkeypatch):
+        # F_m times forms of its leading witnesses, so that 0, 1, 2, 3 and 4
+        # of them divide k, through either form; 2 * F_m * a1 * b1 is
+        # scripts/search_digest.py's avoid-list k
+        (a1, b1), (a2, b2), (a3, b3), (_, b4) = _leading_forms(m, 4)
+        odd = [Factorization.from_pairs((p, 1) for p in (FERMAT_PRIMES[m], *excluded))
+               for excluded in ((), (a1,), (b1,), (a1, b1), (b2,), (a1, b2), (b1, a2, b3),
+                                (a1, b2, a3, b4))]
+        cases = [(kf.times_prime(2), 1) for kf in odd] + [(kf, 2) for kf in odd]
+        expected = [search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=kf.value)).r
+                    for kf, _ in cases]
+        assert len(set(expected)) == 5
+        for (kf, M), r in zip(cases, expected):
+            _cold_witness_lists(monkeypatch)
+            assert _case2_r(kf, M, m) == r
+        # warm: the list now holds the five witnesses the last k needed
+        for (kf, M), r in reversed(list(zip(cases, expected))):
+            assert _case2_r(kf, M, m) == r
+
+    def test_solve_writes_no_cache_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOTIENT_FORGE_CACHE", str(tmp_path))
+        _cold_witness_lists(monkeypatch)
+        # F_0's first witness r = 2 has forms 5 and 7, both dividing k
+        kf = Factorization.from_pairs([(2, 1), (3, 1), (5, 1), (7, 1)])
+        assert _case2_r(kf, 1, 0) == 6
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_value_types_are_immutable(self):
+        s = solve(6, 2)[0]
+        for value, field in ((s.n_factorization, "value"), (s, "n"),
+                             (is_probable_prime(7), "verdict")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1)

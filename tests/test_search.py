@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import random
@@ -206,6 +207,20 @@ class TestCache:
         path.write_text("\n".join(lines[:-2]) + "\n")  # drop a body line and the trailer
         assert search_pair_r(task, cache_dir=tmp_path) == search_pair_r(task, use_cache=False)
         assert path.read_text().splitlines()[-1] == "# count=2"
+
+    def test_record_cut_inside_its_last_body_line(self, tmp_path, caplog):
+        # cut to r and a candidates_tested of 99: a well-formed body, which
+        # only the "# count=2" trailer exposes
+        task = PairSearchTask(a=1, b=2, start=327899)
+        uncached = search_pair_r(task, use_cache=False)
+        assert (uncached.r, uncached.candidates_tested) == (328896, 998)
+        search_pair_r(task, cache_dir=tmp_path)
+        [path] = (tmp_path / "pair_search").iterdir()
+        text = path.read_text()
+        path.write_text(text[: text.index("\n998\n") + 3])
+        with caplog.at_level(logging.WARNING, logger="totient_forge.search"):
+            assert search_pair_r(task, cache_dir=tmp_path) == uncached
+        assert "count mismatch" in caplog.text
 
     def test_wrong_r_in_cache_rejected(self, tmp_path):
         task = PairSearchTask(a=2, b=3, start=1)
