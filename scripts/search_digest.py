@@ -38,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench.inputs import witness_pool_tasks  # noqa: E402
 from totient_forge.search import (  # noqa: E402
+    FERMAT_PRIMES,
     PairSearchTask,
     Parity,
     fermat_pair_task,
@@ -63,7 +64,8 @@ def small_tasks() -> list[PairSearchTask]:
     presieved = [fermat_pair_task(4, 10**6),
                  PairSearchTask(4, 5, start=10**15, parity=Parity.EVEN_ONLY)]
     presieved += [fermat_pair_task(m, 10**e) for m in range(5) for e in (10, 14)]
-    avoid = [fermat_pair_task(m, 1, avoid_divisors_of=k) for m, k in enumerate(_AVOID_K)]
+    avoid = [PairSearchTask(FERMAT_PRIMES[m] - 1, FERMAT_PRIMES[m], parity=Parity.EVEN_ONLY,
+                            avoid_divisors_of=k) for m, k in enumerate(_AVOID_K)]
     return below_table + own_prime + presieved + avoid
 
 

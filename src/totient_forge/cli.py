@@ -2,7 +2,8 @@
 
 Commands: solve, enumerate, count, sequence, search-r, verify-claims,
 totient, factor. All numbers cross the boundary as decimal strings. Exit
-codes: 0 success, 1 claim/verification failure, 2 usage error.
+codes: 0 success, 1 claim/verification failure, 2 usage error (a bad
+argument, or a path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 
 from .arith import FactoringBoundExceeded, Factorization, factorize, totient
 from .claims import LEVELS, run_claims
-from .config import CACHE_ENV, default_cache_dir
 from .constructions import (
     MIN_SOLUTIONS,
     ConstructionError,
@@ -23,7 +23,8 @@ from .constructions import (
     solve,
     verify_solution,
 )
-from .search import FERMAT_PRIMES, LimitExhausted, PairSearchTask, Parity, search_pair_r
+from .search import (CACHE_ENV, FERMAT_PRIMES, LimitExhausted, PairSearchTask, Parity,
+                     default_cache_dir, search_pair_r)
 from .sequences import SequenceVariant, generate_sequence, sequence_product_magnitude
 from .sieve_enum import RangeTooLarge, enumerate_solutions, solution_count_table
 
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     try:
         return command(args, cache_dir)
-    except (ValueError, FactoringBoundExceeded, RangeTooLarge) as exc:
+    except (ValueError, FactoringBoundExceeded, RangeTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ConstructionError, LimitExhausted) as exc:

@@ -277,8 +277,8 @@ _FERMAT_WITNESS_LIMIT = 2 + 2 * DEFAULT_CANDIDATE_BUDGET
 
 def _fermat_witness(m: int, k: int) -> int:
     """The smallest pair witness r of F_m with neither (F_m - 1)*r + 1 nor
-    F_m*r + 1 dividing k: the r of
-    search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=k)).
+    F_m*r + 1 dividing k: the r of the avoid search, fermat_pair_task(m, 1)
+    with avoid_divisors_of=k.
 
     Each prime of k excludes at most two witnesses. The list grows, by an
     uncached search past its last entry, only when every listed one is

@@ -2,18 +2,18 @@
 
 Verdict policy: below 2**64 the answer is deterministic; above, a strong
 base-2 test plus a strong Lucas test decide, and passing numbers are reported
-as ProbablePrime, never Prime. Every n takes the same two stages. `screen`
-rejects most composites cheaply: below 1009**2 it is one lookup in a
+as ProbablePrime, never Prime. Every n takes the same two stages, each of
+which returns None when n passes it, else a witness that n is composite.
+`screen` rejects most composites cheaply: below 1009**2 it is one lookup in a
 smallest-prime-factor table (uint16, ~2 MB, built on the first such query);
 above, one gcd with the product of the primes <= 997 and then the strong
-base-2 test. `confirm` settles what the screen passed: Prime below 1009**2,
-the strong-pseudoprime bases 3..37 below 2**64, the strong Lucas test above.
-A Composite verdict found by a factor carries the smallest prime factor as
-its witness. `is_prime` gives the same answer as a bool, with no verdict below
-1009**2; certification takes it (`Factorization.validate`, `factorize`, the
-witness checks in `constructions`, sequence generation and validation).
-Where a verdict is reported (C1, the search and its cache, the CLI),
-`is_probable_prime` or the two stages run.
+base-2 test. `confirm` settles what the screen passed: nothing is left to test
+below 1009**2, the strong-pseudoprime bases 3..37 run below 2**64, the strong
+Lucas test above. `is_prime` gives the answer as a bool; certification takes it
+(`Factorization.validate`, `factorize`, the witness checks in
+`constructions`, sequence generation and validation, the pair search and its
+cache). `is_probable_prime` alone turns the witnesses into a verdict, where
+one is reported (C1, `search-r`).
 """
 
 from __future__ import annotations
@@ -98,21 +98,13 @@ def primes_upto(limit: int) -> np.ndarray:
     return _prime_cache[:cut]
 
 
-_TRIAL_PRIMES: list[int] = []
-_TRIAL_PRODUCT = 1
+# small enough to stay cheap, large enough to hand back factors like 641
+_TRIAL_PRIMES: list[int] = primes_upto(1000).tolist()
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 # 1009 is the first prime above the trial primes (<= 997 < 1000), so an
 # n < 1009**2 that none of them divides has no factor <= sqrt(n): it is prime
 SPF_LIMIT = 1009**2
 _SPF: array | None = None
-
-
-def _trial_primes() -> list[int]:
-    # small enough to stay cheap, large enough to hand back factors like 641
-    global _TRIAL_PRIMES, _TRIAL_PRODUCT
-    if not _TRIAL_PRIMES:
-        _TRIAL_PRIMES = primes_upto(1000).tolist()
-        _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
-    return _TRIAL_PRIMES
 
 
 def spf_table() -> array:
@@ -126,7 +118,7 @@ def spf_table() -> array:
         table = array("H", [0]) * SPF_LIMIT
         cells = np.frombuffer(table, dtype=np.uint16)
         # descending, so the smallest prime writes each composite last
-        for p in reversed(_trial_primes()):
+        for p in reversed(_TRIAL_PRIMES):
             cells[p * p :: p] = p
         _SPF = table
     return _SPF
@@ -225,46 +217,42 @@ def _strong_lucas_composite(n: int) -> bool:
     return True
 
 
-def screen(n: int) -> PrimalityVerdict | None:
-    """First stage of the test: the Composite verdict of the table lookup
-    (n < 1009**2) or of the trial-prime gcd and the strong base-2 test, or
-    None when n passes.
+def screen(n: int) -> int | None:
+    """First stage of the test: None when n passes, else a witness that n is
+    composite: 0 for n < 2, the smallest prime factor when the table
+    (n < 1009**2) or the gcd with the trial primes' product finds one, 2 when
+    the strong base-2 test exposes n.
 
     A None must be settled by `confirm(n)`.
     """
     if n < SPF_LIMIT:
         if n < 2:
-            return PrimalityVerdict(n, Verdict.COMPOSITE)
-        p = spf_table()[n]
-        return PrimalityVerdict(n, Verdict.COMPOSITE, p) if p else None
-    trial = _trial_primes()
+            return 0
+        return spf_table()[n] or None
     # one gcd with the primes' product rules them all out (3.4 against
     # 16.6 us of trial division at 333 bits); scan them only to name the
     # smallest factor
     if math.gcd(n, _TRIAL_PRODUCT) > 1:
-        p = next(p for p in trial if n % p == 0)
-        return PrimalityVerdict(n, Verdict.COMPOSITE, p)
+        return next(p for p in _TRIAL_PRIMES if n % p == 0)
     d, s = _decompose(n)
-    if _mr_composite(n, 2, d, s):
-        return PrimalityVerdict(n, Verdict.COMPOSITE, 2)
-    return None
+    return 2 if _mr_composite(n, 2, d, s) else None
 
 
-def confirm(n: int) -> PrimalityVerdict:
-    """Second stage, for an n that `screen` passed: Prime below 1009**2, the
-    remaining strong-pseudoprime bases below 2**64, the strong Lucas test above.
+def confirm(n: int) -> int | None:
+    """Second stage, for an n that `screen` passed: None when n is prime
+    (below 1009**2 the screen has decided), else the first of the bases
+    3..37 that exposes n below 2**64, or 0 when the strong Lucas test
+    rejects n above it.
     """
     if n < SPF_LIMIT:
-        return PrimalityVerdict(n, Verdict.PRIME)
+        return None
     if n < DETERMINISTIC_LIMIT:
         d, s = _decompose(n)
         for a in _CONFIRM_BASES:
             if _mr_composite(n, a, d, s):
-                return PrimalityVerdict(n, Verdict.COMPOSITE, a)
-        return PrimalityVerdict(n, Verdict.PRIME)
-    if _strong_lucas_composite(n):
-        return PrimalityVerdict(n, Verdict.COMPOSITE)
-    return PrimalityVerdict(n, Verdict.PROBABLE_PRIME)
+                return a
+        return None
+    return 0 if _strong_lucas_composite(n) else None
 
 
 def is_probable_prime(n: int) -> PrimalityVerdict:
@@ -273,8 +261,12 @@ def is_probable_prime(n: int) -> PrimalityVerdict:
     Deterministic below 2**64; above, a strong base-2 test combined with a
     strong Lucas test (no counterexample to the combination is known).
     """
-    screened = screen(n)
-    return screened if screened is not None else confirm(n)
+    witness = screen(n)
+    if witness is None:
+        witness = confirm(n)
+    if witness is not None:
+        return PrimalityVerdict(n, Verdict.COMPOSITE, witness or None)
+    return PrimalityVerdict(n, Verdict.PRIME if n < DETERMINISTIC_LIMIT else Verdict.PROBABLE_PRIME)
 
 
 def is_prime(n: int) -> bool:
@@ -282,7 +274,7 @@ def is_prime(n: int) -> bool:
     table lookup (n < 2 first, as a negative index would wrap)."""
     if n < SPF_LIMIT:
         return n >= 2 and not spf_table()[n]
-    return screen(n) is None and confirm(n).verdict is not Verdict.COMPOSITE
+    return screen(n) is None and confirm(n) is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,19 @@ up to min(PRESIEVE_BOUND, sqrt of its largest form), all 9,592 primes
 of the mask (under 1% of a 10^40..10^100 block) instead of visiting every
 candidate.
 
-A survivor is a hit when both forms pass `is_probable_prime`, whose two
-stages run form by form: `screen` (a table lookup below 1009**2, else the gcd
+A survivor is a hit when both forms pass the two stages of the primality
+test, run form by form: `screen` (a table lookup below 1009**2, else the gcd
 with the trial primes' product and the strong base-2 test) on a*r+1, then on
 b*r+1, and only when both pass, `confirm` on each (the bases 3..37 below
 2**64, the strong Lucas test above). Most survivors fail the screen on one
 form, so the confirm stage (the Lucas test costs three to four base-2 tests)
 runs almost only on the hit.
+
+Results are cached under the cache directory: an explicit --cache-dir beats
+$TOTIENT_FORGE_CACHE, which beats ~/.cache/totient_forge. A record is a
+"# <key>" header, the body lines and a "# count=N" trailer: a file written
+for another key, or cut short, fails to read instead of passing for a valid
+one.
 """
 
 from __future__ import annotations
@@ -23,25 +29,27 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import default_cache_dir, read_record, write_record
 from .primality import (
     PRESIEVE_BOUND,
     SEGMENT_CANDIDATES,
     SPF_LIMIT,
     PrimalityVerdict,
-    Verdict,
     confirm,
+    is_prime,
     is_probable_prime,
     presieve,
     screen,
 )
 
 __all__ = [
+    "CACHE_ENV",
+    "default_cache_dir",
     "Parity",
     "PairSearchTask",
     "PairSearchResult",
@@ -55,6 +63,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+CACHE_ENV = "TOTIENT_FORGE_CACHE"
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
@@ -97,20 +107,22 @@ class PairSearchTask:
             raise ValueError("start must be >= 1")
 
 
-def fermat_pair_task(m: int, start: int, limit: int | None = None,
-                     avoid_divisors_of: int | None = None) -> PairSearchTask:
+def fermat_pair_task(m: int, start: int, limit: int | None = None) -> PairSearchTask:
     """The Fermat pair task: even r >= start with (F_m - 1)*r + 1 and F_m*r + 1 prime."""
     fermat = FERMAT_PRIMES[m]
-    return PairSearchTask(a=fermat - 1, b=fermat, start=start, parity=Parity.EVEN_ONLY,
-                          avoid_divisors_of=avoid_divisors_of, limit=limit)
+    return PairSearchTask(a=fermat - 1, b=fermat, start=start, parity=Parity.EVEN_ONLY, limit=limit)
 
 
 class PairSearchResult(NamedTuple):
     r: int
     p1: int
     p2: int
-    verdicts: tuple[PrimalityVerdict, PrimalityVerdict]
     candidates_tested: int
+
+    @property
+    def verdicts(self) -> tuple[PrimalityVerdict, PrimalityVerdict]:
+        """The verdicts of p1 and p2, tested afresh."""
+        return is_probable_prime(self.p1), is_probable_prime(self.p2)
 
 
 def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
@@ -135,15 +147,9 @@ def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
         tested += 1
         # both forms take the screen before either is confirmed: confirming
         # a prime costs eleven base-2 tests below 2**64, three to four above
-        if screen(p1) is not None or screen(p2) is not None:
-            continue
-        v1 = confirm(p1)
-        if v1.verdict is Verdict.COMPOSITE:
-            continue
-        v2 = confirm(p2)
-        if v2.verdict is Verdict.COMPOSITE:
-            continue
-        return PairSearchResult(r, p1, p2, (v1, v2), tested), tested
+        if (screen(p1) is None and screen(p2) is None
+                and confirm(p1) is None and confirm(p2) is None):
+            return PairSearchResult(r, p1, p2, tested), tested
     return None, tested
 
 
@@ -192,19 +198,59 @@ def search_pair_r(
         raise LimitExhausted(f"no qualifying r in [{first}, {limit}) for a={task.a}, b={task.b}")
     result = result._replace(candidates_tested=tested_total)
     if cache_path is not None:
-        write_record(cache_path, key, [str(result.r), str(tested_total)])
+        _write_record(cache_path, key, [str(result.r), str(tested_total)])
     return result
 
 
 # ---------------------------------------------------------------------------
 # result cache: one record per (a, b, start, parity, limit) key, whose body is
-# r and the candidates tested; both verdicts are re-derived on load
+# r and the candidates tested; both forms are re-tested on load
+
+
+def default_cache_dir() -> Path:
+    env = os.environ.get(CACHE_ENV)
+    if env:
+        return Path(env)
+    return Path.home() / ".cache" / "totient_forge"
+
+
+def _write_record(path: Path, key: str, body: list[str]) -> None:
+    """Replace `path` with the record of `body` for `key` in one step, so
+    readers never see a partial file.
+
+    The text goes to a temporary file in the same directory, which
+    os.replace then renames over the target; on failure it is removed.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join([f"# {key}", *body, f"# count={len(body)}"]) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _read_record(path: Path, key: str) -> list[str] | None:
+    """The body lines of the record at `path`, or None when there is no file.
+
+    Raises ValueError when the header does not carry `key` or the trailer's
+    count does not match the body.
+    """
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        return None
+    if lines[:1] != [f"# {key}"]:
+        raise ValueError("key mismatch")
+    if lines[-1] != f"# count={len(lines) - 2}":
+        raise ValueError("count mismatch")
+    return lines[1:-1]
 
 
 def _load_cached(path: Path, key: str, task: PairSearchTask, limit: int) -> PairSearchResult | None:
     """The cached result, or None when absent or corrupt."""
     try:
-        body = read_record(path, key)
+        body = _read_record(path, key)
         if body is None:
             return None
         r_line, tested_line = body
@@ -214,10 +260,9 @@ def _load_cached(path: Path, key: str, task: PairSearchTask, limit: int) -> Pair
         if tested < 1:
             raise ValueError("a scan tests at least its hit")
         p1, p2 = task.a * r + 1, task.b * r + 1
-        v1, v2 = is_probable_prime(p1), is_probable_prime(p2)
-        if not (v1.is_prime and v2.is_prime):
+        if not (is_prime(p1) and is_prime(p2)):
             raise ValueError("cached r is not a witness")
-        return PairSearchResult(r, p1, p2, (v1, v2), tested)
+        return PairSearchResult(r, p1, p2, tested)
     except ValueError as exc:
         log.warning("discarding corrupt search cache %s (%s)", path, exc)
         return None

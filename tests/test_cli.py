@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from totient_forge import claims
+from totient_forge import claims, cli
 from totient_forge.cli import main
 from totient_forge.primality import is_probable_prime
 from totient_forge.search import RTableRow
@@ -237,6 +237,24 @@ class TestConfig:
         assert f"csv report written to {csv_path}" in out
         assert csv_path.read_text().startswith("claim,status,runtime_s,anchor,evidence\nC1,Pass,")
         assert [p.name for p in env_dir.iterdir()] == ["claims_quick.csv"]
+
+
+class TestUnusablePaths:
+    # a path that cannot be read or written is reported, not raised
+    def test_csv_report_in_a_missing_directory(self, capsys, cache_dir, tmp_path, monkeypatch):
+        report = claims.ClaimReport("C1", "anchor", "Pass", "evidence", 0.0)
+        monkeypatch.setattr(cli, "run_claims", lambda level, cache_dir: [report])
+        code = main(["--cache-dir", str(cache_dir), "verify-claims", "--level", "quick",
+                     "--csv", str(tmp_path / "no" / "such" / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x.csv" in err
+
+    def test_cache_entry_that_is_a_file(self, capsys, tmp_path):
+        (tmp_path / "pair_search").write_text("")
+        code = main(["--cache-dir", str(tmp_path), "search-r", "--a", "2", "--b", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestFormats:

@@ -31,7 +31,7 @@ from totient_forge.constructions import (
     verify_solution,
 )
 from totient_forge.primality import is_probable_prime
-from totient_forge.search import FERMAT_PRIMES, fermat_pair_task, search_pair_r
+from totient_forge.search import FERMAT_PRIMES, PairSearchTask, Parity, fermat_pair_task, search_pair_r
 from totient_forge.sequences import PrimeSequence, SequenceVariant, generate_sequence
 
 
@@ -465,7 +465,9 @@ class TestFermatWitnessList:
                for excluded in ((), (a1,), (b1,), (a1, b1), (b2,), (a1, b2), (b1, a2, b3),
                                 (a1, b2, a3, b4))]
         cases = [(kf.times_prime(2), 1) for kf in odd] + [(kf, 2) for kf in odd]
-        expected = [search_pair_r(fermat_pair_task(m, 1, avoid_divisors_of=kf.value)).r
+        fermat = FERMAT_PRIMES[m]
+        expected = [search_pair_r(PairSearchTask(fermat - 1, fermat, parity=Parity.EVEN_ONLY,
+                                                 avoid_divisors_of=kf.value)).r
                     for kf, _ in cases]
         assert len(set(expected)) == 5
         for (kf, M), r in zip(cases, expected):

@@ -121,12 +121,44 @@ class TestIsProbablePrime:
     ])
     def test_base2_pseudoprimes_pass_the_screen(self, n, witness):
         assert screen(n) is None
-        assert confirm(n) == PrimalityVerdict(n, Verdict.COMPOSITE, witness)
+        assert confirm(n) == witness
+        assert is_probable_prime(n) == PrimalityVerdict(n, Verdict.COMPOSITE, witness)
 
     def test_screen_names_the_smallest_trial_prime(self):
         # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5 and 7
         n = 3215031751
-        assert screen(n) == PrimalityVerdict(n, Verdict.COMPOSITE, 151)
+        assert screen(n) == 151
+        assert is_probable_prime(n) == PrimalityVerdict(n, Verdict.COMPOSITE, 151)
+
+    # each stage returns None when n passes it, else a witness; confirm
+    # takes only what the screen passed
+    @pytest.mark.parametrize("n,stages", [
+        (0, [0]),
+        (1, [0]),
+        (997 * 1009, [997]),
+        (4294967297, [641]),
+        ((10**40 + 121) * (2**89 - 1), [2]),
+        (65537, [None, None]),
+        (2**61 - 1, [None, None]),
+        (2152302898747, [None, 13]),
+        (10**40 + 121, [None, None]),
+    ])
+    def test_stage_witnesses(self, n, stages):
+        got = [screen(n)]
+        if got[0] is None:
+            got.append(confirm(n))
+        assert got == stages
+        # is_probable_prime names a witness only where it is one
+        witness = next((w for w in got if w is not None), None)
+        assert is_probable_prime(n).witness == (witness or None)
+        assert is_probable_prime(n).is_prime == is_prime(n) == (witness is None)
+
+    def test_lucas_rejection_has_no_witness(self, monkeypatch):
+        monkeypatch.setattr(primality, "_strong_lucas_composite", lambda n: True)
+        n = 10**40 + 121
+        assert (screen(n), confirm(n)) == (None, 0)
+        assert is_probable_prime(n) == PrimalityVerdict(n, Verdict.COMPOSITE, None)
+        assert not is_prime(n)
 
     def test_lucas_matches_published_pseudoprime_list(self):
         from totient_forge.primality import _strong_lucas_composite

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totient_forge import primality, search
-from totient_forge.primality import PRESIEVE_BOUND, SPF_LIMIT, Verdict, presieve
+from totient_forge.primality import (
+    PRESIEVE_BOUND,
+    SPF_LIMIT,
+    PrimalityVerdict,
+    Verdict,
+    is_probable_prime,
+    presieve,
+)
 from totient_forge.search import (
     FERMAT_PRIMES,
     PAIR_WITNESS_TABLE,
@@ -158,6 +166,35 @@ class TestSearchPairR:
         assert res.p2 < 2**64
         assert len(screened) == 14 + 3 + 1
         assert confirmed == [res.p1, res.p2]
+
+    def test_scan_builds_no_verdict(self, monkeypatch):
+        # the stages answer with witnesses: only reading res.verdicts builds one
+        built = []
+        new = PrimalityVerdict.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PrimalityVerdict, "__new__", counting)
+        results = [search_pair_r(fermat_pair_task(4, start), use_cache=False)
+                   for start in (10**14, 10**40)]
+        assert built == []
+        results[0].verdicts
+        assert len(built) == 2
+
+    # below and above 2**64, on a miss and on the cache hit after it
+    @pytest.mark.parametrize("start,verdict", [
+        (10**14, Verdict.PRIME), (10**40, Verdict.PROBABLE_PRIME),
+    ])
+    def test_verdicts_are_derived_from_the_forms(self, start, verdict, tmp_path):
+        task = fermat_pair_task(4, start)
+        miss = search_pair_r(task, cache_dir=tmp_path)
+        hit = search_pair_r(task, cache_dir=tmp_path)
+        assert hit == miss
+        for res in (miss, hit):
+            assert res.verdicts == (is_probable_prime(res.p1), is_probable_prime(res.p2))
+            assert [v.verdict for v in res.verdicts] == [verdict, verdict]
 
     @pytest.mark.parametrize("m", range(5))
     def test_lucas_rejection_keeps_scanning(self, m, monkeypatch):
@@ -310,9 +347,12 @@ class TestFermatPairTask:
         assert all(sympy.isprime(f) for f in FERMAT_PRIMES)
 
     def test_task_fields(self):
-        task = fermat_pair_task(3, 10**100, limit=10**101, avoid_divisors_of=514)
+        task = fermat_pair_task(3, 10**100, limit=10**101)
         assert task == PairSearchTask(
-            a=256, b=257, start=10**100, parity=Parity.EVEN_ONLY,
-            avoid_divisors_of=514, limit=10**101,
+            a=256, b=257, start=10**100, parity=Parity.EVEN_ONLY, limit=10**101,
         )
+        # the avoid search differs from the Fermat pair task in its avoid list alone
+        avoid = PairSearchTask(a=256, b=257, start=10**100, parity=Parity.EVEN_ONLY,
+                               avoid_divisors_of=514, limit=10**101)
+        assert dataclasses.replace(avoid, avoid_divisors_of=None) == task
         assert fermat_pair_task(0, 1) == PairSearchTask(a=2, b=3, start=1, parity=Parity.EVEN_ONLY)
