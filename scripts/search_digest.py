@@ -18,10 +18,14 @@ The candidate count changes when the presieve clears a different set, so
 equal digests mean equal masks on every block these searches scan, not only
 equal witnesses.
 
-Both digests come from uncached searches. Then both task lists run twice on
-one fresh temporary cache, a pass of misses and a pass of hits, and the
-script exits 1 unless each pass gives the same two digests: a cache hit must
-return what its miss returned, `candidates_tested` included.
+Both digests come from uncached searches, run twice: first on an empty
+presieve memo (`primality._form_constants`, each multiplier's constants
+mod the sieving primes), then on the memo that pass filled. The script exits
+1 unless both passes give the same two digests: a memo hit must strike what
+its miss struck. Then both task lists run twice on one fresh temporary
+cache, a pass of misses and a pass of hits, and the script exits 1 unless
+each pass gives the same two digests: a cache hit must return what its miss
+returned, `candidates_tested` included.
 
 Run it on two checkouts and compare. It takes a few seconds and is kept out
 of the test suite.
@@ -37,6 +41,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench.inputs import witness_pool_tasks  # noqa: E402
+from totient_forge.primality import _form_constants  # noqa: E402
 from totient_forge.search import (  # noqa: E402
     FERMAT_PRIMES,
     PairSearchTask,
@@ -81,9 +86,14 @@ def digest(searches: list[PairSearchTask], cache_dir: str | None = None) -> str:
 
 def main() -> int:
     searches, small = tasks(), small_tasks()
+    _form_constants.cache_clear()
     uncached = [digest(searches), digest(small)]
     print(f"search: {len(searches)} lines, sha256 {uncached[0]}")
     print(f"search below 2**64: {len(small)} lines, sha256 {uncached[1]}")
+    warm = [digest(searches), digest(small)]
+    if warm != uncached:
+        print(f"error: the warm presieve memo gives other digests: {warm}")
+        return 1
     with tempfile.TemporaryDirectory() as cache:
         for label in ("miss", "hit"):
             cached = [digest(searches, cache), digest(small, cache)]

@@ -220,6 +220,12 @@ def cmd_verify_claims(args, cache_dir: Path) -> int:
     # imported here, as run_claims imports the pool: other commands never load it
     from concurrent.futures.process import BrokenProcessPool
 
+    # an unusable report path fails before the claims run, not after them
+    csv_path = cache_dir / f"claims_{args.level}.csv" if args.csv is None else Path(args.csv)
+    if args.csv is None:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    elif not csv_path.parent.is_dir():
+        raise FileNotFoundError(f"no directory for the CSV report {csv_path}")
     try:
         reports = run_claims(args.level, cache_dir)
     except BrokenProcessPool as exc:
@@ -238,10 +244,6 @@ def cmd_verify_claims(args, cache_dir: Path) -> int:
             print(f"{r.claim_id}  {r.status:7s} {r.runtime:8.2f}s  {r.anchor:{width}s}")
             print(f"    {r.evidence}")
         print(f"{len(reports) - len(failed)}/{len(reports)} claims passed")
-    csv_path = args.csv
-    if csv_path is None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = cache_dir / f"claims_{args.level}.csv"
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write(csv_text)
     print(f"csv report written to {csv_path}", file=sys.stderr if args.format == "csv" else sys.stdout)

@@ -7,7 +7,9 @@ table, as cheap as a strike. Any other block is presieved against the primes
 up to min(PRESIEVE_BOUND, sqrt of its largest form), all 9,592 primes
 <= 10^5 once b*r passes 10^10, and the scan jumps from survivor to survivor
 of the mask (under 1% of a 10^40..10^100 block) instead of visiting every
-candidate.
+candidate. The presieve memoizes each multiplier's inverses mod those
+primes per process (`primality._form_constants`, keyed by multiplier and
+step), so a process inverts only in its first block with each of them.
 
 A survivor is a hit when both forms pass the two stages of the primality
 test, run form by form: `screen` (a table lookup below 1009**2, else the gcd

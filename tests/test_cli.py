@@ -242,13 +242,27 @@ class TestConfig:
 class TestUnusablePaths:
     # a path that cannot be read or written is reported, not raised
     def test_csv_report_in_a_missing_directory(self, capsys, cache_dir, tmp_path, monkeypatch):
-        report = claims.ClaimReport("C1", "anchor", "Pass", "evidence", 0.0)
-        monkeypatch.setattr(cli, "run_claims", lambda level, cache_dir: [report])
+        def must_not_run(level, cache_dir):
+            pytest.fail("the claims ran before the CSV path was checked")
+
+        monkeypatch.setattr(cli, "run_claims", must_not_run)
         code = main(["--cache-dir", str(cache_dir), "verify-claims", "--level", "quick",
                      "--csv", str(tmp_path / "no" / "such" / "x.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "x.csv" in err
+
+    def test_default_cache_dir_made_before_the_claims_run(self, tmp_path, monkeypatch):
+        report = claims.ClaimReport("C1", "anchor", "Pass", "evidence", 0.0)
+        fresh = tmp_path / "fresh" / "cache"
+
+        def running(level, cache_dir):
+            assert cache_dir.is_dir()
+            return [report]
+
+        monkeypatch.setattr(cli, "run_claims", running)
+        assert main(["--cache-dir", str(fresh), "verify-claims", "--level", "quick"]) == 0
+        assert (fresh / "claims_quick.csv").read_text().startswith("claim,status")
 
     def test_cache_entry_that_is_a_file(self, capsys, tmp_path):
         (tmp_path / "pair_search").write_text("")

@@ -262,6 +262,17 @@ class TestSieves:
             primes_upto(10**8 + 1)
 
 
+_PRESIEVE_ARGS = dict(
+    a=st.one_of(st.integers(1, 64), st.sampled_from((16, 256, 65536))),
+    gap=st.one_of(st.integers(1, 64), st.integers(1, 10**30)),
+    start=st.one_of(st.integers(1, 300), st.integers(1, 10**100)),
+    count=st.one_of(st.integers(0, 300), st.integers(0, 3000)),
+    step=st.sampled_from((1, 2, 3, 6)),
+    # prime lists from the 2 primes <= 3 to the 9,592 <= PRESIEVE_BOUND
+    bound=st.sampled_from((3, 97, 709, 719, 1000, 5000, PRESIEVE_BOUND)),
+)
+
+
 class TestPresieve:
     def test_small_survivors(self):
         mask = presieve(2, 3, 1, 10)
@@ -299,16 +310,35 @@ class TestPresieve:
         with pytest.raises(ValueError):
             presieve(a, b, start, 5, step=step)
 
+    def test_bound_capped_at_the_constants(self):
+        # the per-process constants cover the primes <= PRESIEVE_BOUND only
+        assert presieve(2, 3, 1, 10, bound=PRESIEVE_BOUND) == presieve(2, 3, 1, 10)
+        with pytest.raises(ValueError, match="capped"):
+            presieve(2, 3, 1, 10, bound=PRESIEVE_BOUND + 1)
+
+    def test_form_constants_are_read_only(self):
+        # every block of every search with the multiplier shares them
+        for constants in primality._form_constants(65536, 2):
+            assert len(constants) == len(primes_upto(PRESIEVE_BOUND))
+            with pytest.raises(ValueError):
+                constants[0] = 1
+
     @settings(max_examples=60, deadline=None)
-    @given(
-        a=st.one_of(st.integers(1, 64), st.sampled_from((16, 256, 65536))),
-        gap=st.one_of(st.integers(1, 64), st.integers(1, 10**30)),
-        start=st.one_of(st.integers(1, 300), st.integers(1, 10**100)),
-        count=st.one_of(st.integers(0, 300), st.integers(0, 3000)),
-        step=st.sampled_from((1, 2, 3, 6)),
-        # prime lists from the 2 primes <= 3 to the 9,592 <= PRESIEVE_BOUND
-        bound=st.sampled_from((3, 97, 709, 719, 1000, 5000, PRESIEVE_BOUND)),
-    )
+    @given(**_PRESIEVE_ARGS)
+    def test_memo_hit_equals_its_miss(self, a, gap, start, count, step, bound):
+        # a call on a warm memo, at the same start or at the next block's,
+        # equals the call that filled it
+        b = a + gap
+        primality._form_constants.cache_clear()
+        cold = presieve(a, b, start, count, step, bound)
+        assert presieve(a, b, start, count, step, bound) == cold
+        after = start + count * step
+        warm = presieve(a, b, after, count, step, bound)
+        primality._form_constants.cache_clear()
+        assert presieve(a, b, after, count, step, bound) == warm
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_PRESIEVE_ARGS)
     # step 6: both primes <= 3 divide every u = c*step, so both take the flat
     # path; start 1 puts forms equal to their own sieving prime in the window
     @example(a=1, gap=1, start=1, count=64, step=6, bound=3)

@@ -154,6 +154,24 @@ class TestSearchPairR:
         # the Lucas test runs only once both forms passed base 2: on the hit alone
         assert lucas_calls == [res.p1, res.p2]
 
+    def test_presieve_inverts_once_per_multiplier(self, monkeypatch):
+        # the witness-search pool's m = 2 task from 10^80 scans three
+        # presieved blocks; only the first search's first block inverts, once
+        # per form, and a repeated search inverts nothing
+        presieves, inverses = [], []
+        sieve, invert = search.presieve, primality._inverses
+        monkeypatch.setattr(search, "presieve", lambda *args: presieves.append(args) or sieve(*args))
+        monkeypatch.setattr(primality, "_inverses", lambda *args: inverses.append(args) or invert(*args))
+        primality._form_constants.cache_clear()
+        task = fermat_pair_task(2, 10**80 + 613575)
+        res = search_pair_r(task, use_cache=False)
+        assert (res.r - task.start, res.candidates_tested) == (151055, 484)
+        assert (len(presieves), len(inverses)) == (3, 2)
+        presieves.clear()
+        inverses.clear()
+        assert search_pair_r(task, use_cache=False) == res
+        assert (len(presieves), len(inverses)) == (3, 0)
+
     def test_confirms_only_the_hit_below_2_64(self, monkeypatch):
         # forms below 2**64: of the 14 candidates tested, 3 pass the screen
         # on a*r+1 only, and only the hit's two forms reach confirm
