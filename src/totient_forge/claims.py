@@ -2,10 +2,11 @@
 
 Each claim re-derives one bundled numerical statement from scratch and
 compares against the frozen expectation. One table, _CLAIMS, gives each
-claim's level, anchor and runner: quick = C1..C6, full adds the C7
+claim's level, anchor, runner and parts: quick = C1..C6, full adds the C7
 enumeration sweep, extreme adds the C8 witness re-discovery. run_claims
-runs a level's claims in a pool of forked processes and reports them in
-table order.
+runs a level's claims in a pool of forked processes, one task per part
+(each claim is one part but C8, whose five Fermat searches are five), and
+reports them in table order.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .arith import v2
 from .constructions import MIN_SOLUTIONS, solve, verify_solution
@@ -74,12 +76,12 @@ class ClaimReport:
         return f'{self.claim_id},{self.status},{self.runtime:.2f},"{self.anchor}","{evidence}"'
 
 
-def _report(claim_id: str, ok: bool, evidence: str, started: float) -> ClaimReport:
+def _report(claim_id: str, ok: bool, evidence: str, runtime: float) -> ClaimReport:
     claim = _CLAIMS[claim_id]
     status = "Pass" if ok else "Fail"
     if not ok:
         evidence = f"{evidence}; {_REPRO.format(level=claim.level)}"
-    return ClaimReport(claim_id, claim.anchor, status, evidence, time.perf_counter() - started)
+    return ClaimReport(claim_id, claim.anchor, status, evidence, runtime)
 
 
 def claim_c1(cache_dir: Path) -> ClaimReport:
@@ -89,7 +91,7 @@ def claim_c1(cache_dir: Path) -> ClaimReport:
     evidence = "; ".join(
         f"m={row.m}: {row.p1_verdict.verdict.value}/{row.p2_verdict.verdict.value}" for row in rows
     )
-    return _report("C1", not bad, evidence, t0)
+    return _report("C1", not bad, evidence, time.perf_counter() - t0)
 
 
 def claim_c2(cache_dir: Path) -> ClaimReport:
@@ -104,7 +106,7 @@ def claim_c2(cache_dir: Path) -> ClaimReport:
             " the even-k coverage bound is 2*product = "
             f"{2 * seq.product:.2e}"
         )
-    return _report("C2", ok, evidence, t0)
+    return _report("C2", ok, evidence, time.perf_counter() - t0)
 
 
 def claim_c3(cache_dir: Path) -> ClaimReport:
@@ -113,7 +115,7 @@ def claim_c3(cache_dir: Path) -> ClaimReport:
     mant, exp = sequence_product_magnitude(seq)
     ok = seq.terms == EXPECTED_NEW_BASE and exp == 26
     evidence = f"{len(seq.terms)} terms, last {seq.terms[-1]}, product {mant:.2f}e{exp}"
-    return _report("C3", ok, evidence, t0)
+    return _report("C3", ok, evidence, time.perf_counter() - t0)
 
 
 def claim_c4(cache_dir: Path) -> ClaimReport:
@@ -138,7 +140,7 @@ def claim_c4(cache_dir: Path) -> ClaimReport:
             "; the 27-term list matches exactly, but its exact product has"
             f" exponent {exp23}, so the stated exponent 83 cannot hold"
         )
-    return _report("C4", ok, evidence, t0)
+    return _report("C4", ok, evidence, time.perf_counter() - t0)
 
 
 def claim_c5(cache_dir: Path) -> ClaimReport:
@@ -147,7 +149,7 @@ def claim_c5(cache_dir: Path) -> ClaimReport:
     small = tuple(n for n in large if n <= 10**6)
     ok = small == (4, 6, 7, 10) and large == (4, 6, 7, 10)
     evidence = f"10^6: {list(small)}; 10^7: {list(large)}"
-    return _report("C5", ok, evidence, t0)
+    return _report("C5", ok, evidence, time.perf_counter() - t0)
 
 
 def claim_c6(cache_dir: Path) -> ClaimReport:
@@ -172,7 +174,7 @@ def claim_c6(cache_dir: Path) -> ClaimReport:
         if len(failures) > 4:
             break
     evidence = "; ".join(failures) if failures else f"all k <= {_C6_K_MAX} satisfied the minimum counts"
-    return _report("C6", not failures, evidence, t0)
+    return _report("C6", not failures, evidence, time.perf_counter() - t0)
 
 
 def claim_c7(cache_dir: Path) -> ClaimReport:
@@ -180,33 +182,46 @@ def claim_c7(cache_dir: Path) -> ClaimReport:
     table = solution_count_table(10**4, 2, 10**6)
     ok = table.min_count == 4 and table.min_achievers == (6,)
     evidence = f"min count {table.min_count} at k in {list(table.min_achievers)}"
-    return _report("C7", ok, evidence, t0)
+    return _report("C7", ok, evidence, time.perf_counter() - t0)
+
+
+class _C8Part(NamedTuple):
+    ok: bool
+    note: str
+    runtime: float
+
+
+def _c8_part(cache_dir: Path, m: int) -> _C8Part:
+    """C8's search for F_m, one pool task of its own."""
+    t0 = time.perf_counter()
+    expected = PAIR_WITNESS_TABLE[m]
+    result = search_pair_r(fermat_pair_task(m, 10**100, limit=10**100 + 10**6), cache_dir=cache_dir)
+    offset = result.r - 10**100
+    if result.r == expected:
+        note = f"m={m}: r = 10^100 + {offset}"
+    elif result.r < expected:
+        note = f"m={m}: FINDING: smaller witness 10^100 + {offset} precedes the bundled value"
+    else:
+        note = f"m={m}: search returned 10^100 + {offset}, bundled value missed"
+    return _C8Part(result.r <= expected, note, time.perf_counter() - t0)
+
+
+def _c8_report(parts: list[_C8Part]) -> ClaimReport:
+    """Merge C8's parts, in m order; runtime_s is the sum of theirs."""
+    ok = all(part.ok for part in parts)
+    return _report("C8", ok, "; ".join(part.note for part in parts), sum(part.runtime for part in parts))
 
 
 def claim_c8(cache_dir: Path) -> ClaimReport:
-    t0 = time.perf_counter()
-    notes = []
-    ok = True
-    for m, expected in sorted(PAIR_WITNESS_TABLE.items()):
-        task = fermat_pair_task(m, 10**100, limit=10**100 + 10**6)
-        result = search_pair_r(task, cache_dir=cache_dir)
-        offset = result.r - 10**100
-        if result.r == expected:
-            notes.append(f"m={m}: r = 10^100 + {offset}")
-        elif result.r < expected:
-            notes.append(
-                f"m={m}: FINDING: smaller witness 10^100 + {offset} precedes the bundled value"
-            )
-        else:
-            ok = False
-            notes.append(f"m={m}: search returned 10^100 + {offset}, bundled value missed")
-    return _report("C8", ok, "; ".join(notes), t0)
+    return _c8_report([_c8_part(cache_dir, m) for m in sorted(PAIR_WITNESS_TABLE)])
 
 
 class _Claim(NamedTuple):
     level: str  # the lowest level that runs the claim
     anchor: str
-    run: Callable[[Path], ClaimReport]
+    run: Callable[..., Any]  # run(cache_dir, *part) for each part
+    parts: tuple[tuple, ...] = ((),)  # one pool task each
+    merge: Callable[[list], ClaimReport] = itemgetter(0)  # the parts' results, in order
 
 
 # every claim, in run order; a level runs its own claims and those of the
@@ -219,25 +234,28 @@ _CLAIMS = {
     "C5": _Claim("quick", "enumeration k=6, M=2: exactly {4, 6, 7, 10} up to 10^6 and nothing new up to 10^7", claim_c5),
     "C6": _Claim("quick", f"k <= {_C6_K_MAX}: >= 3 solutions (even, M=2), >= 5 (odd, M=2), 5 Fermat solutions with distinct v2 (even, M=1)", claim_c6),
     "C7": _Claim("full", "count table k <= 10^4, M=2, n <= 10^6: minimum 4, achieved only at k=6", claim_c7),
-    "C8": _Claim("extreme", "witness search from 10^100 rediscovers the bundled r values (discrepancies reported)", claim_c8),
+    "C8": _Claim("extreme", "witness search from 10^100 rediscovers the bundled r values (discrepancies reported)", _c8_part,
+                 tuple((m,) for m in sorted(PAIR_WITNESS_TABLE)), _c8_report),
 }
 
 CLAIM_IDS = tuple(_CLAIMS)
 LEVELS = tuple(dict.fromkeys(claim.level for claim in _CLAIMS.values()))
 
 
-def _run_claim(claim_id: str, cache_dir: Path) -> ClaimReport:
-    return _CLAIMS[claim_id].run(cache_dir)
+def _run_part(claim_id: str, part: tuple, cache_dir: Path) -> Any:
+    return _CLAIMS[claim_id].run(cache_dir, *part)
 
 
 def run_claims(level: str, cache_dir: Path) -> list[ClaimReport]:
     """Run the claims of `level` and return their reports in table order.
 
     The claims share no state but C8's pair-search cache, whose writes are
-    atomic, so each runs in a pool of forked processes, min(usable CPUs,
-    claims) of them. Workers receive claim ids and look up the runner in
-    their forked copy of _CLAIMS. A runner's exception reaches the caller
-    unchanged; a worker that dies raises
+    atomic, so their parts run in a pool of forked processes, min(usable
+    CPUs, parts) of them: one task per part, submitted in table order, so
+    C8's five searches follow C7 in m order. Workers receive claim ids and
+    parts and look up the runner in their forked copy of _CLAIMS; the
+    parent merges each claim's part results in order. A runner's exception
+    reaches the caller unchanged; a worker that dies raises
     concurrent.futures.process.BrokenProcessPool.
     """
     if level not in LEVELS:
@@ -247,10 +265,12 @@ def run_claims(level: str, cache_dir: Path) -> list[ClaimReport]:
     from concurrent.futures import ProcessPoolExecutor
 
     reach = LEVELS.index(level)
-    ids = [cid for cid, claim in _CLAIMS.items() if LEVELS.index(claim.level) <= reach]
+    claims = [(cid, claim) for cid, claim in _CLAIMS.items() if LEVELS.index(claim.level) <= reach]
+    ids, parts = zip(*[(cid, part) for cid, claim in claims for part in claim.parts])
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
     with ProcessPoolExecutor(min(cpus, len(ids)), mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_claim, ids, repeat(cache_dir)))
+        results = pool.map(_run_part, ids, parts, repeat(cache_dir))
+        return [claim.merge(list(islice(results, len(claim.parts)))) for _, claim in claims]

@@ -13,7 +13,7 @@ import pytest
 from totient_forge import claims, cli
 from totient_forge.cli import main
 from totient_forge.primality import is_probable_prime
-from totient_forge.search import RTableRow
+from totient_forge.search import FERMAT_PRIMES, PAIR_WITNESS_TABLE, RTableRow
 from totient_forge.sequences import generate_sequence
 from totient_forge.sieve_enum import solution_count_table
 
@@ -22,6 +22,20 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def fake_c8_search(missed_m=None, raising_m=None):
+    """search_pair_r for C8's tasks: the bundled witness, a larger r for
+    missed_m, or a ValueError for raising_m."""
+    ms = {fermat - 1: m for m, fermat in enumerate(FERMAT_PRIMES)}
+
+    def search(task, cache_dir):
+        m = ms[task.a]
+        if m == raising_m:
+            raise ValueError("broken claim")
+        return SimpleNamespace(r=PAIR_WITNESS_TABLE[m] + 2 * (m == missed_m))
+
+    return search
 
 
 class TestSolveCommand:
@@ -329,7 +343,9 @@ class TestVerifyClaimsContract:
             run_claims("bogus", cache_dir)
 
     def test_levels_run_the_claims_up_to_them(self, cache_dir, monkeypatch):
-        table = {cid: claim._replace(run=lambda d, cid=cid: cid) for cid, claim in claims._CLAIMS.items()}
+        # one part each, so C8 too reports its id
+        table = {cid: claims._Claim(claim.level, claim.anchor, lambda d, cid=cid: cid)
+                 for cid, claim in claims._CLAIMS.items()}
         monkeypatch.setattr(claims, "_CLAIMS", table)
         assert claims.LEVELS == ("quick", "full", "extreme")
         quick = ["C1", "C2", "C3", "C4", "C5", "C6"]
@@ -341,32 +357,108 @@ class TestVerifyClaimsContract:
         def broken(d):
             raise ValueError("broken claim")
 
+        def raised_unchanged(level):
+            with pytest.raises(ValueError, match="broken claim"):
+                claims.run_claims(level, cache_dir)
+            assert multiprocessing.active_children() == []  # the pool joined its workers
+            code = main(["--cache-dir", str(cache_dir), "verify-claims", "--level", level])
+            assert code == 2
+            assert capsys.readouterr().err.strip() == "error: broken claim"
+
+        c8 = claims._CLAIMS["C8"]
         table = {cid: claim._replace(run=lambda d, cid=cid: cid) for cid, claim in claims._CLAIMS.items()}
         table["C3"] = table["C3"]._replace(run=broken)
         monkeypatch.setattr(claims, "_CLAIMS", table)
-        with pytest.raises(ValueError, match="broken claim"):
-            claims.run_claims("quick", cache_dir)
-        assert multiprocessing.active_children() == []  # the pool joined its workers
-        code = main(["--cache-dir", str(cache_dir), "verify-claims", "--level", "quick"])
-        assert code == 2
-        assert capsys.readouterr().err.strip() == "error: broken claim"
+        raised_unchanged("quick")
+        # C3 mended: C8's search for m = 2 raises, in one of C8's five part tasks
+        table["C3"] = table["C3"]._replace(run=lambda d: "C3")
+        table["C8"] = c8
+        monkeypatch.setattr(claims, "search_pair_r", fake_c8_search(raising_m=2))
+        raised_unchanged("extreme")
 
     def test_a_dead_worker_fails_fast(self, tmp_path):
         # in a child interpreter, so that a claim run in-process could not
-        # end the test run itself
-        child = f"""
+        # end the test run itself: C2's worker dies at level quick; at level
+        # extreme (C1..C7 stubbed, to stay fast) the worker running C8's
+        # search for m = 2 (a = 16) dies
+        breakages = {
+            "quick": 'claims._CLAIMS["C2"] = claims._CLAIMS["C2"]._replace(run=lambda d: os._exit(3))',
+            "extreme": "\n".join([
+                "for cid in claims.CLAIM_IDS[:7]:",
+                "    claims._CLAIMS[cid] = claims._CLAIMS[cid]._replace(run=lambda d: None)",
+                "search = claims.search_pair_r",
+                "claims.search_pair_r = lambda task, cache_dir: os._exit(3) if task.a == 16 else search(task, cache_dir)",
+            ]),
+        }
+        src = str(Path(claims.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for level, breakage in breakages.items():
+            child = f"""
 import os, sys
 from totient_forge import claims
 from totient_forge.cli import main
-claims._CLAIMS["C2"] = claims._CLAIMS["C2"]._replace(run=lambda d: os._exit(3))
-sys.exit(main(["--cache-dir", {str(tmp_path)!r}, "verify-claims", "--level", "quick"]))
+{breakage}
+sys.exit(main(["--cache-dir", {str(tmp_path)!r}, "verify-claims", "--level", {level!r}]))
 """
-        src = str(Path(claims.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                              env=env, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: a claim process died (")
+            proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                                  env=env, timeout=60)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: a claim process died (")
+
+    @staticmethod
+    def stub_c1_to_c7(monkeypatch):
+        table = dict(claims._CLAIMS)
+        for cid in claims.CLAIM_IDS[:7]:
+            table[cid] = table[cid]._replace(run=lambda d, cid=cid: cid)
+        monkeypatch.setattr(claims, "_CLAIMS", table)
+
+    def test_c8_searches_are_five_pool_tasks(self, tmp_path, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted = []
+        pool_map = ProcessPoolExecutor.map
+
+        def recording_map(pool, fn, *iterables):
+            tasks = list(zip(*iterables))
+            submitted.extend(task[0] for task in tasks)
+            return pool_map(pool, fn, *zip(*tasks))
+
+        self.stub_c1_to_c7(monkeypatch)
+        monkeypatch.setattr(claims, "search_pair_r", fake_c8_search())
+        monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+        reports = claims.run_claims("extreme", tmp_path)
+        assert submitted == ["C1", "C2", "C3", "C4", "C5", "C6", "C7"] + ["C8"] * 5
+        assert reports[:7] == list(claims.CLAIM_IDS[:7])
+        assert reports[7].status == "Pass"
+        assert reports[7].evidence == "; ".join(
+            f"m={m}: r = 10^100 + {PAIR_WITNESS_TABLE[m] - 10**100}" for m in range(5))
+
+    def test_one_failed_c8_part_fails_c8_once(self, tmp_path, monkeypatch):
+        self.stub_c1_to_c7(monkeypatch)
+        monkeypatch.setattr(claims, "search_pair_r", fake_c8_search(missed_m=2))
+        pooled = claims.run_claims("extreme", tmp_path)[7]
+        notes = [f"m={m}: r = 10^100 + {PAIR_WITNESS_TABLE[m] - 10**100}" for m in range(5)]
+        notes[2] = f"m=2: search returned 10^100 + {PAIR_WITNESS_TABLE[2] + 2 - 10**100}, bundled value missed"
+        assert pooled.status == "Fail"
+        assert pooled.evidence == "; ".join(notes) + "; reproduce: totient-forge verify-claims --level extreme"
+        assert pooled.evidence.count("reproduce:") == 1
+        direct = claims.claim_c8(tmp_path)
+        assert (direct.status, direct.evidence) == (pooled.status, pooled.evidence)
+
+    def test_c8_runtime_is_the_sum_of_its_parts(self, tmp_path, monkeypatch):
+        self.stub_c1_to_c7(monkeypatch)
+        monkeypatch.setattr(claims, "_CLAIMS", dict(claims._CLAIMS, C8=claims._CLAIMS["C8"]._replace(
+            run=lambda d, m: claims._C8Part(True, f"m={m}", 2.0**-m))))
+        report = claims.run_claims("extreme", tmp_path)[7]
+        assert report.runtime == 1 + 1 / 2 + 1 / 4 + 1 / 8 + 1 / 16
+        assert report.evidence == "m=0; m=1; m=2; m=3; m=4"
+
+    def test_pooled_c8_equals_claim_c8(self, tmp_path, monkeypatch):
+        self.stub_c1_to_c7(monkeypatch)
+        pooled = claims.run_claims("extreme", tmp_path / "pooled")[7]
+        direct = claims.claim_c8(tmp_path / "direct")  # a cold cache, as the pooled run had
+        assert pooled.status == "Pass"
+        assert (direct.claim_id, direct.status, direct.evidence) == (pooled.claim_id, pooled.status, pooled.evidence)
 
     # a failing claim's hint names the lowest level that runs it; C2 and C4
     # fail as published, the others are made to fail here
