@@ -20,6 +20,34 @@ from totient_forge.sieve_enum import (
 )
 
 
+# a multiple of the wheel's period 21,600 just below 10**12
+_NEAR_1E12 = 10**12 - 10**12 % 21_600
+
+
+class _CountingMultiply:
+    """np.multiply, counting its scatter calls (np.multiply.at)."""
+
+    def __init__(self):
+        self.at_calls = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.multiply(*args, **kwargs)
+
+    def at(self, *args):
+        self.at_calls += 1
+        return np.multiply.at(*args)
+
+
+class _NumpyWith:
+    """numpy, with some of its names replaced."""
+
+    def __init__(self, **names):
+        self.__dict__.update(names)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 # values just around prime powers, where the higher-power slices start and stop
 _NEAR_PRIME_POWER = st.builds(
     lambda q, d: max(1, q + d),
@@ -71,6 +99,23 @@ class TestSieveTotient:
         monkeypatch.setattr(sieve_enum, "_DENSE_STRIDE", dense)
         seg = sieve_totient(lo, lo + 1000)
         assert seg.values.tolist() == [factorize(n).totient() for n in range(lo, lo + 1000)]
+
+    # each block starts from the 2*3*5 wheel (period 21,600) at its phase:
+    # windows from one value before, at and after a period boundary, one
+    # across a boundary near 10**12 (kept short: with dense 10**6 each block
+    # strides ~80,000 prime powers), and windows crossing several periods;
+    # in 64-value blocks and in one block
+    @pytest.mark.parametrize("lo, w", [
+        (21_599, 300), (21_600, 300), (21_601, 300), (_NEAR_1E12 - 1, 66),
+        (1, 2 * 21_600 + 65), (21_599, 2 * 21_600 + 65),
+    ])
+    def test_wheel_phases_match_factorize(self, monkeypatch, lo, w):
+        expected = [factorize(n).totient() for n in range(lo, lo + w)]
+        for block in (64, sieve_enum._BLOCK_VALUES):
+            monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", block)
+            for dense in (2, 16, 10**6):
+                monkeypatch.setattr(sieve_enum, "_DENSE_STRIDE", dense)
+                assert sieve_totient(lo, lo + w).values.tolist() == expected, (block, dense)
 
     def test_totients_upto(self, monkeypatch):
         monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", 128)
@@ -134,6 +179,30 @@ class TestEnumerate:
         monkeypatch.setattr(sieve_enum._BlockSieve, "into", recording_sieve)
         enumerate_solutions(k, 2, 1000)
         assert sum(windows) == sieved
+
+    def test_sieves_each_window_in_one_block_pass(self, monkeypatch):
+        # 16 windows of at most 64 + 6 values: one block pass each, and every
+        # pass scatters twice (totient factors and factored parts)
+        multiply = _CountingMultiply()
+        monkeypatch.setattr(sieve_enum, "_BLOCK_VALUES", 64)
+        monkeypatch.setattr(sieve_enum, "np", _NumpyWith(multiply=multiply))
+        assert enumerate_solutions(6, 2, 1000).solutions == (4, 6, 7, 10)
+        assert multiply.at_calls == 2 * 16
+
+    def test_distant_shift_keeps_blocks_small(self):
+        # k beyond one segment: two windows of one segment each, never blocks
+        # of k cells
+        k, limit = 10**6, 1000
+        phi = totients_upto(limit + k)
+        tracemalloc.start()
+        try:
+            reports = [enumerate_solutions(k, M, limit) for M in (1, 2)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for M, report in zip((1, 2), reports):
+            assert report.solutions == tuple(n for n in range(1, limit + 1) if phi[n + k] == M * phi[n])
+        assert peak < 12 << 20  # ~6.6 MB here; blocks of k cells would take ~80 MB
 
     def test_validation(self):
         with pytest.raises(ValueError):
