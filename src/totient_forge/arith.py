@@ -216,10 +216,11 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 def factorize(n: int, hint: Factorization | None = None) -> Factorization:
     """Exact factorization of n >= 1.
 
-    Below 1009**2, a walk through the smallest-prime-factor table. Above, one
-    vectorised division by the primes <= 10**4; a cofactor left at 1009**2 or
-    more is prime below 10**8, else tested for primality once, and a
-    composite one is split by Pollard rho (Brent). Above
+    Below 1009**2, one ascending walk through the smallest-prime-factor
+    table, which lists each prime with its exponent as it meets it. Above,
+    one vectorised division by the primes <= 10**4; a cofactor left over has
+    no prime factor below 10**4, so it is prime below 10**8, else tested for
+    primality once, and a composite one is split by Pollard rho (Brent). Above
     DEFAULT_FACTORING_BOUND a caller-supplied factorization is mandatory and
     is verified before being trusted.
     """
@@ -235,17 +236,25 @@ def factorize(n: int, hint: Factorization | None = None) -> Factorization:
             f"{n} exceeds the factoring bound {DEFAULT_FACTORING_BOUND}; "
             "pass a factorization hint"
         )
+    if n < SPF_LIMIT:
+        # the smallest prime factor comes first, so the walk meets the primes
+        # in ascending order
+        spf = spf_table()
+        factors = []
+        value = 1
+        while n > 1:
+            p = spf[n] or n
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+            value *= p**e
+        return Factorization(tuple(factors), value)
     exps: dict[int, int] = {}
-    rem = n
-    if rem >= SPF_LIMIT:
-        rem = _divide_out(rem, primes_upto(_FIRST_PASS_LIMIT), exps)
-        if rem >= SPF_LIMIT:
-            _factor_into(rem, exps)
-            rem = 1
-    while rem > 1:  # rem < 1009**2 here
-        p = spf_table()[rem] or rem
-        exps[p] = exps.get(p, 0) + 1
-        rem //= p
+    rem = _divide_out(n, primes_upto(_FIRST_PASS_LIMIT), exps)
+    if rem > 1:
+        _factor_into(rem, exps)
     return Factorization.from_pairs(exps.items())
 
 

@@ -27,7 +27,13 @@ from math import gcd
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import Factorization, factorize, iter_divisors, star_divides
+from .arith import (
+    DEFAULT_FACTORING_BOUND,
+    Factorization,
+    factorize,
+    iter_divisors,
+    star_divides,
+)
 from .primality import is_prime
 from .search import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -526,9 +532,16 @@ def solve(
     logged and skipped, never fatal. Results are deduplicated by n (method
     tags merged) and sorted ascending. `cache_dir` is unused: witnesses and
     sequences are kept in memory, never on disk.
+
+    No construction applies to M = 1 with odd k, so that case returns []
+    without factoring k; it still raises NotApplicable for k < 1,
+    FactoringBoundExceeded above the factoring bound with no k_fact, and
+    ValueError for a k_fact that does not validate or match k.
     """
     if M not in (1, 2):
         raise ValueError("M must be 1 or 2")
+    if M == 1 and k % 2 and k_fact is None and 1 <= k <= DEFAULT_FACTORING_BOUND:
+        return []  # no construction for odd k at M = 1; factoring k would raise nothing
     kf = _k_fact(k, k_fact)
     found: list[Solution] = []
 

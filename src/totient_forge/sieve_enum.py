@@ -14,11 +14,11 @@ block.
 
 `enumerate_solutions` sieves each segment [lo, hi) together with its shifted
 copy [lo+k, hi+k) as one window [lo, hi+k) when the two overlap (k < hi-lo),
-so each value is sieved once, and its blocks hold 2**16 + k values, so each
-such window takes one block pass: split into a 2**16-value block and a
-k-value block, a window would pay the scatter's fixed cost twice (at C5,
-k = 6, the 6-value block alone takes 0.32 ms against 1.12 ms for the full
-one). For k >= 2**16 the two segments are sieved apart, in blocks of 2**16
+so each value is sieved once, and its blocks hold 2**16 + k values (limit + k
+for a limit below 2**16), so each such window takes one block pass: split
+into a 2**16-value block and a k-value block, a window would pay the
+scatter's fixed cost twice (at C5, k = 6, the 6-value block alone takes
+0.32 ms against 1.12 ms for the full one). For k >= 2**16 the two segments are sieved apart, in blocks of 2**16
 values, so no block grows with k.
 
 `solution_count_table` makes no per-k pass and keeps one array. It turns the
@@ -217,7 +217,8 @@ def enumerate_solutions(k: int, M: int, limit: int) -> EnumerationReport:
     if limit + k + 1 > MAX_SIEVE_VALUE:
         raise RangeTooLarge("k + limit beyond the sieve range")
     hits: list[int] = []
-    step = _BLOCK_VALUES
+    # no segment is longer than the range, so a small limit builds small arrays
+    step = min(_BLOCK_VALUES, limit)
     # one window of step + k cells, or two of step when they cannot overlap;
     # each window is sieved in one block pass
     span = step + k if k < step else step

@@ -175,6 +175,25 @@ class TestFactorize:
         assert dict(factorize(n).factors) == sympy.factorint(n)
         assert len(tested) == len(set(tested)), tested
 
+    def test_table_walk_matches_sympy(self):
+        # every n <= 2*10**4, 2,000 seeded n below 1009**2, and the values
+        # either side of the table's end and of 10**8
+        rng = random.Random(1009)
+        ns = list(range(1, 2 * 10**4 + 1)) + [rng.randrange(1, 1009**2) for _ in range(2000)]
+        ns += [1009**2 - 1, 1009**2, 1009**2 + 1, 10**8 - 1, 10**8 + 1]
+        for n in ns:
+            f = factorize(n)
+            assert f == Factorization.from_pairs(sympy.factorint(n).items()), n
+            f.validate()
+
+    def test_rho_splits_pool_semiprime(self):
+        # the solve-sweep pool's slowest k to factor
+        assert str(factorize(711208893582865411)) == "363418051 * 1956999361"
+
+    def test_validate_rejects_descending_primes(self):
+        with pytest.raises(ValueError, match="ascending"):
+            Factorization(((3, 1), (2, 1)), 6).validate()
+
 
 class TestTotient:
     @pytest.mark.parametrize("n,expected", [(1, 1), (10, 4), (65537, 65536)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totient_forge import constructions
-from totient_forge.arith import Factorization, v2
+from totient_forge.arith import FactoringBoundExceeded, Factorization, v2
 from totient_forge.claims import EXPECTED_NEW_BRANCH13_23
 from totient_forge.constructions import (
     AllTermsDivideK,
@@ -400,6 +400,33 @@ class TestKFactorizationCertified:
     def test_bogus_hint_rejected(self, entry):
         with pytest.raises(ValueError, match="not prime"):
             entry()
+
+
+class TestSolveOddKM1:
+    """No construction applies to M = 1 with odd k: solve factors nothing and
+    returns [], but keeps every error it raises for its inputs."""
+
+    @pytest.mark.parametrize("k", [1, 3, 999, 711208893582865411])
+    def test_returns_empty_without_factoring(self, k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve(k, 1) with odd k factored k")
+
+        monkeypatch.setattr(constructions, "factorize", refuse)
+        assert solve(k, 1) == []
+        assert solve(k, 1, with_witness_search=True) == []
+
+    def test_out_of_range_k_still_raises(self):
+        with pytest.raises(NotApplicable):
+            solve(-1, 1)
+        with pytest.raises(FactoringBoundExceeded):
+            solve(10**18 + 1, 1)
+
+    def test_hint_is_still_certified(self):
+        with pytest.raises(ValueError, match="not prime"):
+            solve(45, 1, k_fact=Factorization(((5, 1), (9, 1)), 45))
+        with pytest.raises(ValueError, match="does not match"):
+            solve(15, 1, k_fact=Factorization(((3, 1), (7, 1)), 21))
+        assert solve(15, 1, k_fact=Factorization(((3, 1), (5, 1)), 15)) == []
 
 
 def sympy_totient(n: int) -> int:

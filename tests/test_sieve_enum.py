@@ -204,6 +204,18 @@ class TestEnumerate:
             assert report.solutions == tuple(n for n in range(1, limit + 1) if phi[n + k] == M * phi[n])
         assert peak < 12 << 20  # ~6.6 MB here; blocks of k cells would take ~80 MB
 
+    def test_small_limit_keeps_blocks_small(self):
+        # a limit below one segment sizes the window from the limit: ~0.4 MB
+        # here, against ~4.5 MB for a window of a full segment
+        tracemalloc.start()
+        try:
+            report = enumerate_solutions(6, 2, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.solutions == (4, 6, 7, 10)
+        assert peak < 1 << 20
+
     def test_validation(self):
         with pytest.raises(ValueError):
             enumerate_solutions(0, 2, 100)
