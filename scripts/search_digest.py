@@ -11,8 +11,7 @@ Prints two sha256 digests, each over one line per search,
   searches (the same tasks from 10^100, below 10^100 + 10^6);
 - searches whose forms stay below 2**64: blocks below 1009**2 (table
   lookups only), presieved blocks whose forms can equal their own sieving
-  prime, presieved blocks in [1009**2, 2**64), and the avoid-list tasks
-  `solve` builds (from r = 1, avoiding the divisors of k).
+  prime, and presieved blocks in [1009**2, 2**64).
 
 The candidate count changes when the presieve clears a different set, so
 equal digests mean equal masks on every block these searches scan, not only
@@ -43,18 +42,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.inputs import witness_pool_tasks  # noqa: E402
 from totient_forge.primality import _form_constants  # noqa: E402
 from totient_forge.search import (  # noqa: E402
-    FERMAT_PRIMES,
     PairSearchTask,
     Parity,
     fermat_pair_task,
     search_pair_r,
 )
-
-# k = 2 * p1 * p2 * F_m, with p1, p2 the forms of the Fermat pair task's
-# first hit from r = 1, so every avoid-list search must skip that hit
-_AVOID_K = (2 * 5 * 7 * 3, 2 * 193 * 241 * 5, 2 * 97 * 103 * 17, 2 * 23041 * 23131 * 257,
-            2 * 14942209 * 14942437 * 65537)
-
 
 def tasks() -> list[PairSearchTask]:
     pool = [fermat_pair_task(m, start) for m, _, start in witness_pool_tasks()]
@@ -69,9 +61,7 @@ def small_tasks() -> list[PairSearchTask]:
     presieved = [fermat_pair_task(4, 10**6),
                  PairSearchTask(4, 5, start=10**15, parity=Parity.EVEN_ONLY)]
     presieved += [fermat_pair_task(m, 10**e) for m in range(5) for e in (10, 14)]
-    avoid = [PairSearchTask(FERMAT_PRIMES[m] - 1, FERMAT_PRIMES[m], parity=Parity.EVEN_ONLY,
-                            avoid_divisors_of=k) for m, k in enumerate(_AVOID_K)]
-    return below_table + own_prime + presieved + avoid
+    return below_table + own_prime + presieved
 
 
 def digest(searches: list[PairSearchTask], cache_dir: str | None = None) -> str:

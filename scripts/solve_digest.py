@@ -17,10 +17,9 @@ Prints four sha256 digests, each over one line per solution,
 - witness: solve(k, 1, k_fact) for even k and solve(k, 2, k_fact) for odd
   k, where k is a product of Fermat primes F_m and the prime forms
   (F_m - 1)*r + 1 or F_m*r + 1 of F_m's first pair witnesses r, so that
-  0 to 4 leading witnesses divide k (with both forms of the first witness,
-  the even k is scripts/search_digest.py's avoid-list k); run in that order
-  and then in reverse, so the witness `solve` picks must not depend on the
-  ones it found before.
+  0 to 4 leading witnesses divide k (among them the even k = 2 * F_m times
+  both forms of the first witness); run in that order and then in reverse,
+  so the witness `solve` picks must not depend on the ones it found before.
 
 Run it on two checkouts: equal digests mean equal solutions, methods,
 witnesses and factorizations. It takes a few seconds, writes no cache

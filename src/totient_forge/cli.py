@@ -85,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Fermat shorthand: a = 2^(2^m), b = 2^(2^m)+1")
     p.add_argument("--start", type=_positive_decimal, default=1)
     p.add_argument("--even-only", action="store_true")
-    p.add_argument("--avoid", type=_positive_decimal,
-                   help="found primes must not divide this value")
     p.add_argument("--limit", type=_positive_decimal, help="give-up bound on r")
 
     p = sub.add_parser("verify-claims", help="run the claim verification suite")
@@ -198,8 +196,7 @@ def cmd_search_r(args, cache_dir: Path) -> int:
         a, b = args.a, args.b
     task = PairSearchTask(
         a=a, b=b, start=args.start,
-        parity=Parity.EVEN_ONLY if args.even_only else Parity.ANY,
-        avoid_divisors_of=args.avoid, limit=args.limit,
+        parity=Parity.EVEN_ONLY if args.even_only else Parity.ANY, limit=args.limit,
     )
     result = search_pair_r(task, cache_dir=cache_dir)
     if args.format == "json":

@@ -277,14 +277,15 @@ def _fermat(k: int, m: int, r: int | None, M: int, kf: Factorization) -> Solutio
 # The pair witnesses r of each F_m found so far, ascending, with every witness
 # below the last one listed; kept for the life of the process, never on disk.
 _FERMAT_WITNESSES: tuple[list[int], ...] = tuple([] for _ in FERMAT_PRIMES)
-# the limit of the avoid search from r = 1, so the same k exhaust both
+# one give-up bound for every extension (a search's default from r = 1), not
+# a budget from where the list ends: whether solve exhausts for a k must not
+# depend on earlier calls
 _FERMAT_WITNESS_LIMIT = 2 + 2 * DEFAULT_CANDIDATE_BUDGET
 
 
 def _fermat_witness(m: int, k: int) -> int:
-    """The smallest pair witness r of F_m with neither (F_m - 1)*r + 1 nor
-    F_m*r + 1 dividing k: the r of the avoid search, fermat_pair_task(m, 1)
-    with avoid_divisors_of=k.
+    """The smallest even r >= 1 with (F_m - 1)*r + 1 and F_m*r + 1 both
+    prime and neither dividing k.
 
     Each prime of k excludes at most two witnesses. The list grows, by an
     uncached search past its last entry, only when every listed one is

@@ -19,6 +19,9 @@ b*r+1, and only when both pass, `confirm` on each (the bases 3..37 below
 form, so the confirm stage (the Lucas test costs three to four base-2 tests)
 runs almost only on the hit.
 
+The search knows nothing of k: `solve` skips the witnesses whose forms
+divide k itself (`constructions._fermat_witness`).
+
 Results are cached under the cache directory: an explicit --cache-dir beats
 $TOTIENT_FORGE_CACHE, which beats ~/.cache/totient_forge. A record is a
 "# <key>" header, the body lines and a "# count=N" trailer: a file written
@@ -99,7 +102,6 @@ class PairSearchTask:
     b: int
     start: int = 1
     parity: Parity = Parity.ANY
-    avoid_divisors_of: int | None = None
     limit: int | None = None
 
     def __post_init__(self):
@@ -137,15 +139,12 @@ def _scan_block(task: PairSearchTask, block_start: int, count: int, step: int):
         # sieving beyond sqrt(max candidate value) buys nothing
         bound = min(PRESIEVE_BOUND, math.isqrt(top) + 1)
         mask = presieve(task.a, task.b, block_start, count, step, bound)
-    avoid = task.avoid_divisors_of
     tested = 0
     i = -1
     while (i := mask.find(1, i + 1)) >= 0:
         r = block_start + i * step
         p1 = task.a * r + 1
         p2 = task.b * r + 1
-        if avoid is not None and (avoid % p1 == 0 or avoid % p2 == 0):
-            continue
         tested += 1
         # both forms take the screen before either is confirmed: confirming
         # a prime costs eleven base-2 tests below 2**64, three to four above
@@ -160,7 +159,7 @@ def search_pair_r(
     cache_dir: Path | str | None = None,
     use_cache: bool = True,
 ) -> PairSearchResult:
-    """Smallest qualifying r >= task.start (respecting parity and avoid list)."""
+    """Smallest r >= task.start, of the task's parity, below its limit, with both forms prime."""
     step = 2 if task.parity is Parity.EVEN_ONLY else 1
     first = task.start
     if task.parity is Parity.EVEN_ONLY and first % 2:
@@ -168,7 +167,7 @@ def search_pair_r(
     limit = task.limit if task.limit is not None else first + DEFAULT_CANDIDATE_BUDGET * step
 
     cache_path = None
-    if use_cache and task.avoid_divisors_of is None:
+    if use_cache:
         # the limit is part of the key: cutting a block short can leave it
         # below 1009**2, unpresieved, which changes the candidates tested
         key = f"{task.a}|{task.b}|{task.start}|{task.parity.value}|{limit}"

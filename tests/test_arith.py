@@ -194,6 +194,10 @@ class TestFactorize:
         with pytest.raises(ValueError, match="ascending"):
             Factorization(((3, 1), (2, 1)), 6).validate()
 
+    def test_validate_rejects_a_wrong_value(self):
+        with pytest.raises(ValueError, match="does not match"):
+            Factorization(((2, 1), (3, 1)), 7).validate()
+
 
 class TestTotient:
     @pytest.mark.parametrize("n,expected", [(1, 1), (10, 4), (65537, 65536)])

@@ -194,7 +194,7 @@ class TestOtherCommands:
     def test_search_r_json(self, capsys, cache_dir):
         code, out = run(capsys, [
             "--cache-dir", str(cache_dir), "--format", "json",
-            "search-r", "--a", "16", "--b", "17", "--avoid", "34",
+            "search-r", "--a", "16", "--b", "17",
         ])
         assert code == 0
         data = json.loads(out)
@@ -208,6 +208,12 @@ class TestOtherCommands:
     def test_threads_flag_is_a_usage_error(self, cache_dir):
         with pytest.raises(SystemExit) as exc:
             main(["--cache-dir", str(cache_dir), "--threads", "2", "factor", "6"])
+        assert exc.value.code == 2
+
+    def test_avoid_flag_is_a_usage_error(self, cache_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", str(cache_dir), "search-r", "--a", "16", "--b", "17",
+                  "--avoid", "34"])
         assert exc.value.code == 2
 
     def test_factoring_bound_usage_error(self, capsys, cache_dir):

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totient_forge import constructions
-from totient_forge.arith import FactoringBoundExceeded, Factorization, v2
+from totient_forge.arith import FactoringBoundExceeded, Factorization, factorize, v2
 from totient_forge.claims import EXPECTED_NEW_BRANCH13_23
 from totient_forge.constructions import (
     AllTermsDivideK,
     CannotVerify,
     FermatWitness,
     InvalidWitness,
+    Method,
     MissingWitness,
     NotApplicable,
     RatioWitness,
@@ -31,7 +32,7 @@ from totient_forge.constructions import (
     verify_solution,
 )
 from totient_forge.primality import is_probable_prime
-from totient_forge.search import FERMAT_PRIMES, PairSearchTask, Parity, fermat_pair_task, search_pair_r
+from totient_forge.search import FERMAT_PRIMES, fermat_pair_task, search_pair_r
 from totient_forge.sequences import PrimeSequence, SequenceVariant, generate_sequence
 
 
@@ -83,6 +84,12 @@ class TestFermat:
             construct_fermat_m1(6, 0, r=4)  # 2*4+1 = 9 is composite
         with pytest.raises(InvalidWitness):
             construct_fermat_m1(30, 0, r=2)  # p1 = 5 divides 30
+
+    def test_m1_witness_prime_dividing_k(self):
+        # both forms of r = 2, 5 and 7, divide 210; without this check _ratio
+        # would still reject the solution, with another message
+        with pytest.raises(InvalidWitness, match="witness prime"):
+            construct_fermat_m1(210, 0, r=2)
 
     @pytest.mark.parametrize("k,m,r,n", [(1, 0, None, 2), (3, 0, 2, 42), (3, 1, None, 12)])
     def test_m2_values(self, k, m, r, n):
@@ -245,6 +252,23 @@ class TestPropositions:
             construct_prop_phi_pair(2, 2)
         with pytest.raises(InvalidWitness):
             construct_prop_phi_pair(70, 5)
+
+
+class TestRatio:
+    # hand-built factorizations that no construction passes, so that each of
+    # _ratio's checks is the only one to catch its defect
+    def test_sum_factorization_of_another_value(self):
+        # sum_f reads 1 for num + den = 2, so n + k comes out as 6, not 12;
+        # phi(6) = 1 * phi(6) would pass the totient check
+        with pytest.raises(InvalidWitness, match="do not reproduce"):
+            constructions._ratio(6, factorize(6), 1, constructions._ONE, 1,
+                                 constructions._ONE, Method.MAKOWSKI, None)
+
+    def test_factorizations_that_break_the_totient_ratio(self):
+        # n = 6 and n + k = 12 are reproduced, but phi(12) = 4 != 1 * phi(6)
+        with pytest.raises(InvalidWitness, match="does not satisfy"):
+            constructions._ratio(6, factorize(6), 1, constructions._ONE, 1,
+                                 constructions._prime(2), Method.MAKOWSKI, None)
 
 
 class TestVerifySolution:
@@ -477,6 +501,17 @@ def _case2_r(kf: Factorization, M: int, m: int) -> int:
     return r
 
 
+def _smallest_witness(m: int, k: int) -> int:
+    """Oracle: the smallest even r with both forms of F_m prime by sympy and
+    neither dividing k."""
+    fermat, r = FERMAT_PRIMES[m], 2
+    while True:
+        p1, p2 = (fermat - 1) * r + 1, fermat * r + 1
+        if k % p1 and k % p2 and sympy.isprime(p1) and sympy.isprime(p2):
+            return r
+        r += 2
+
+
 def _cold_witness_lists(monkeypatch) -> None:
     monkeypatch.setattr(constructions, "_FERMAT_WITNESSES", tuple([] for _ in FERMAT_PRIMES))
 
@@ -485,17 +520,13 @@ class TestFermatWitnessList:
     @pytest.mark.parametrize("m", range(5))
     def test_list_gives_the_avoid_search_r(self, m, monkeypatch):
         # F_m times forms of its leading witnesses, so that 0, 1, 2, 3 and 4
-        # of them divide k, through either form; 2 * F_m * a1 * b1 is
-        # scripts/search_digest.py's avoid-list k
+        # of them divide k, through either form
         (a1, b1), (a2, b2), (a3, b3), (_, b4) = _leading_forms(m, 4)
         odd = [Factorization.from_pairs((p, 1) for p in (FERMAT_PRIMES[m], *excluded))
                for excluded in ((), (a1,), (b1,), (a1, b1), (b2,), (a1, b2), (b1, a2, b3),
                                 (a1, b2, a3, b4))]
         cases = [(kf.times_prime(2), 1) for kf in odd] + [(kf, 2) for kf in odd]
-        fermat = FERMAT_PRIMES[m]
-        expected = [search_pair_r(PairSearchTask(fermat - 1, fermat, parity=Parity.EVEN_ONLY,
-                                                 avoid_divisors_of=kf.value)).r
-                    for kf, _ in cases]
+        expected = [_smallest_witness(m, kf.value) for kf, _ in cases]
         assert len(set(expected)) == 5
         for (kf, M), r in zip(cases, expected):
             _cold_witness_lists(monkeypatch)

@@ -31,7 +31,7 @@ from totient_forge.search import (
 )
 
 
-def brute_force_r(a, b, start, parity=Parity.ANY, avoid=None, limit=10**6):
+def brute_force_r(a, b, start, parity=Parity.ANY, limit=10**6):
     """Independent oracle: test every candidate with sympy, no presieve."""
     r = start
     if parity is Parity.EVEN_ONLY and r % 2:
@@ -39,8 +39,7 @@ def brute_force_r(a, b, start, parity=Parity.ANY, avoid=None, limit=10**6):
     step = 2 if parity is Parity.EVEN_ONLY else 1
     while r < start + limit:
         p1, p2 = a * r + 1, b * r + 1
-        if (avoid is None or (avoid % p1 and avoid % p2)) and \
-                sympy.isprime(p1) and sympy.isprime(p2):
+        if sympy.isprime(p1) and sympy.isprime(p2):
             return r
         r += step
     raise AssertionError("oracle exhausted")
@@ -63,10 +62,6 @@ class TestSearchPairR:
     def test_tiny(self):
         res = search_pair_r(PairSearchTask(a=2, b=3), use_cache=False)
         assert (res.r, res.p1, res.p2) == (2, 5, 7)
-
-    def test_avoid_divisors(self):
-        res = search_pair_r(PairSearchTask(a=16, b=17, avoid_divisors_of=34), use_cache=False)
-        assert (res.r, res.p1, res.p2) == (6, 97, 103)
 
     def test_against_brute_force(self):
         rng = random.Random(424242)
@@ -295,6 +290,27 @@ class TestCache:
         task = PairSearchTask(a=2, b=3, start=17, limit=21)
         assert search_pair_r(task, cache_dir=tmp_path) == search_pair_r(task, use_cache=False)
 
+    # well-formed records under their real header and "# count=2" trailer
+    # whose body no search of the task could have written
+    @pytest.mark.parametrize("task,body", [
+        # r = 2 is a witness (forms 5 and 7), but below start
+        (PairSearchTask(a=2, b=3, start=17), ["2", "1"]),
+        # the forms 3 and 5 are prime, but r is odd
+        (PairSearchTask(a=2, b=4, parity=Parity.EVEN_ONLY), ["1", "1"]),
+        # r = 20 is the task's witness, but no scan tests 0 candidates
+        (PairSearchTask(a=2, b=3, start=17), ["20", "0"]),
+    ], ids=["below-start", "odd-r", "none-tested"])
+    def test_record_the_task_could_not_write_is_discarded(self, task, body, tmp_path, caplog):
+        uncached = search_pair_r(task, use_cache=False)
+        search_pair_r(task, cache_dir=tmp_path)
+        [path] = (tmp_path / "pair_search").iterdir()
+        lines = path.read_text().splitlines()
+        assert lines[-1] == "# count=2"
+        path.write_text("\n".join([lines[0], *body, lines[-1]]) + "\n")
+        with caplog.at_level(logging.WARNING, logger="totient_forge.search"):
+            assert search_pair_r(task, cache_dir=tmp_path) == uncached
+        assert "discarding" in caplog.text
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("simulated failure")
@@ -369,8 +385,7 @@ class TestFermatPairTask:
         assert task == PairSearchTask(
             a=256, b=257, start=10**100, parity=Parity.EVEN_ONLY, limit=10**101,
         )
-        # the avoid search differs from the Fermat pair task in its avoid list alone
-        avoid = PairSearchTask(a=256, b=257, start=10**100, parity=Parity.EVEN_ONLY,
-                               avoid_divisors_of=514, limit=10**101)
-        assert dataclasses.replace(avoid, avoid_divisors_of=None) == task
+        assert [f.name for f in dataclasses.fields(PairSearchTask)] == [
+            "a", "b", "start", "parity", "limit",
+        ]
         assert fermat_pair_task(0, 1) == PairSearchTask(a=2, b=3, start=1, parity=Parity.EVEN_ONLY)
