@@ -13,7 +13,8 @@ Prints four sha256 digests, each over one line per solution,
 - ladder: solve(k, 2, k_fact) for k the product of every term of newbranch7
   up to 10**4, 13,000 and 10**6 and of newbranch13_23 up to 10**4, 10**6
   and 2 * 10**7, the k whose branch sequence runs out of terms coprime to k
-  at some bound of the retry ladder;
+  at some bound up to the variant's reach, and for k = 2 times every
+  Hasanalizade term, which runs that sequence out at its reach;
 - witness: solve(k, 1, k_fact) for even k and solve(k, 2, k_fact) for odd
   k, where k is a product of Fermat primes F_m and the prime forms
   (F_m - 1)*r + 1 or F_m*r + 1 of F_m's first pair witnesses r, so that
@@ -87,6 +88,9 @@ def main() -> int:
             terms = generate_sequence(variant, bound).terms
             k_fact = Factorization.from_pairs((p, 1) for p in terms)
             ladder.append((k_fact.value, 2, False, k_fact))
+    k_fact = Factorization.from_pairs(
+        (p, 1) for p in sorted({2, *generate_sequence(SequenceVariant.HASANALIZADE).terms}))
+    ladder.append((k_fact.value, 2, False, k_fact))
     named = (("sweep", sweep), ("branch", branch), ("ladder", ladder), ("witness", witness_calls()))
     for name, calls in named:
         lines, hexdigest = digest(calls)

@@ -12,7 +12,8 @@ Each variant starts from a forced prefix, exempt from the rules (branch
 variants deliberately reorder small primes), and then greedily appends the
 smallest qualifying prime, strictly increasing among generated terms.
 Each variant has one bound, at which `solve` and the claims generate it; a
-larger bound only appends terms. Every variant generates at its bound in
+larger bound only appends terms (`solve` reads newbranch7 further, up to its
+reach, when every term divides k). Every variant generates at its bound in
 milliseconds, so a sequence is generated once per process and memoized,
 never stored on disk.
 
@@ -48,20 +49,23 @@ MAX_BOUND = (10**8 + 1) ** 2 - 1
 
 
 class SequenceVariant(Enum):
-    """A variant, with its forced prefix and its bound as attributes."""
+    """A variant, with its forced prefix, its bound and its reach (the
+    largest bound `solve` reads it at) as attributes."""
 
     HASANALIZADE = ("hasanalizade", (3,), 2 * 10**5)
     NEW_BASE = ("newbase", (2,), 10**8)
     # bound chosen so the product clears 10^310; at a bound of 12011
-    # exactly, the product has decimal exponent 309
-    NEW_BRANCH7 = ("newbranch7", (2, 3, 5, 11, 7), 13_000)
-    NEW_BRANCH13_23 = ("newbranch13_23", (2, 3, 5, 11, 13, 23), 2 * 10**7)
+    # exactly, the product has decimal exponent 309. The reach is the bound
+    # but here: newbranch7 is the only variant that gains terms past its bound
+    NEW_BRANCH7 = ("newbranch7", (2, 3, 5, 11, 7), 13_000, 13 * 10**7)
+    NEW_BRANCH13_23 = ("newbranch13_23", (2, 3, 5, 11, 13, 23), 20_000_000)
 
-    def __new__(cls, value: str, prefix: tuple[int, ...], bound: int):
+    def __new__(cls, value: str, prefix: tuple[int, ...], bound: int, reach: int | None = None):
         member = object.__new__(cls)
         member._value_ = value
         member.prefix = prefix
         member.bound = bound
+        member.reach = bound if reach is None else reach
         return member
 
     @property

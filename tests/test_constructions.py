@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from totient_forge import constructions
 from totient_forge.arith import FactoringBoundExceeded, Factorization, factorize, v2
-from totient_forge.claims import EXPECTED_NEW_BRANCH13_23
+from totient_forge.claims import EXPECTED_HASANALIZADE, EXPECTED_NEW_BRANCH13_23
 from totient_forge.constructions import (
     AllTermsDivideK,
     CannotVerify,
@@ -143,6 +143,32 @@ class TestSequenceSolutions:
         seq = generate_sequence(SequenceVariant.NEW_BRANCH13_23, 100)
         with pytest.raises(InvalidWitness):
             construct_seq_solution(2 * 3 * 5 * 11 * 13, seq, 2)
+
+    # k is the product of the first i terms, doubled if odd: the first term
+    # coprime to k is term i + 1, and every earlier term divides k, so the
+    # generation rules govern it and only an exempt prefix term can fail
+    @pytest.mark.parametrize("variant,exempt", [
+        pytest.param(SequenceVariant.HASANALIZADE, set(), id="hasanalizade"),
+        pytest.param(SequenceVariant.NEW_BASE, set(), id="newbase"),
+        pytest.param(SequenceVariant.NEW_BRANCH7, {7}, id="newbranch7"),
+        pytest.param(SequenceVariant.NEW_BRANCH13_23, {13, 23}, id="newbranch13_23"),
+    ])
+    def test_first_coprime_term_governs_k(self, variant, exempt):
+        seq = generate_sequence(variant)
+        failed = set()
+        for i in range(1, len(seq.terms)):
+            primes = seq.terms[:i] if 2 in seq.terms[:i] else (2, *seq.terms[:i])
+            kf = Factorization.from_pairs((p, 1) for p in sorted(primes))
+            try:
+                s = construct_seq_solution(kf.value, seq, 2, kf)
+            except InvalidWitness as exc:
+                assert "does not divide k" in str(exc)
+                failed.add(seq.terms[i])
+                continue
+            assert s.witnesses[0].index == i + 1
+            assert s.witnesses[0].p == seq.terms[i]
+            assert verify_solution(s)
+        assert failed == exempt
 
     # composite terms: 25 would give n = 150 with "2 * 3 * 25", 9 would give
     # n = 8, and neither satisfies the equation
@@ -378,6 +404,20 @@ class TestSolve:
         sols = solve(k, 2, k_fact=kf)
         assert construct_makowski(k, 2, kf) in sols
         assert {s.method for s in sols} == {"Makowski", "SeqHasanalizade"}
+        assert all(verify_solution(s) for s in sols)
+
+    def test_makowski_and_newbase_kept_when_hasanalizade_runs_out(self):
+        # every Hasanalizade term divides k, so that construction is skipped;
+        # 11 does not, so the base branch still gives newbase's term 4
+        primes = (2, *EXPECTED_HASANALIZADE)
+        k = math.prod(primes)
+        kf = Factorization.from_pairs((p, 1) for p in sorted(primes))
+        with pytest.raises(AllTermsDivideK):
+            construct_seq_solution(k, generate_sequence(SequenceVariant.HASANALIZADE), 2, kf)
+        sols = solve(k, 2, k_fact=kf)
+        assert [s.method for s in sols] == ["SeqNew", "Makowski"]  # n = 5k/6, then k
+        assert sols[0].witnesses == (SeqWitness(SequenceVariant.NEW_BASE, 4, 11, 5),)
+        assert construct_makowski(k, 2, kf) in sols
         assert all(verify_solution(s) for s in sols)
 
     def test_branch_sequence_retried_at_a_larger_bound(self):

@@ -166,6 +166,25 @@ class TestGeneration:
         }
         for variant in SequenceVariant:
             assert generate_sequence(variant) is generate_sequence(variant, variant.bound)
+        # the largest bound solve reads each variant at
+        assert {v: v.reach for v in SequenceVariant} == {
+            SequenceVariant.HASANALIZADE: 2 * 10**5,
+            SequenceVariant.NEW_BASE: 10**8,
+            SequenceVariant.NEW_BRANCH7: 13 * 10**7,
+            SequenceVariant.NEW_BRANCH13_23: 2 * 10**7,
+        }
+
+    @pytest.mark.parametrize("variant,count", [
+        pytest.param(SequenceVariant.HASANALIZADE, 21, id="hasanalizade"),
+        pytest.param(SequenceVariant.NEW_BASE, 13, id="newbase"),
+        pytest.param(SequenceVariant.NEW_BRANCH13_23, 27, id="newbranch13_23"),
+    ])
+    def test_no_term_at_100_times_the_bound(self, variant, count):
+        # so a reach equal to the bound loses nothing near it
+        assert variant.reach == variant.bound
+        assert len(generate_sequence(variant).terms) == count
+        assert generate_sequence(variant, 100 * variant.bound).terms == \
+            generate_sequence(variant).terms
 
     def test_validator_rejects_tampering(self):
         seq = generate_sequence(SequenceVariant.NEW_BASE, 10**4)
