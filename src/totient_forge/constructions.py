@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .arith import (
     DEFAULT_FACTORING_BOUND,
+    FactoringBoundExceeded,
     Factorization,
     factorize,
     iter_divisors,
@@ -474,7 +475,7 @@ def verify_solution(s: Solution) -> bool:
                 pass  # a listed factor is not prime: factor the value afresh
         try:
             return factorize(value)
-        except Exception as exc:
+        except FactoringBoundExceeded as exc:
             raise CannotVerify(f"cannot factor {value}: {exc}") from exc
 
     fact_n = fact_of(s.n, s.n_factorization)
@@ -493,17 +494,6 @@ def _merge(solutions) -> list[Solution]:
             by_n[s.n] = cur._replace(method="+".join(tags),
                                      witnesses=cur.witnesses + s.witnesses)
     return [by_n[n] for n in sorted(by_n)]
-
-
-def _scan_divisors(kf: Factorization, build) -> list[Solution]:
-    """Every solution build(d) yields over the divisors d <= 10^6 of k."""
-    found = []
-    for d in iter_divisors(kf, limit=10**6):
-        try:
-            found.append(build(d))
-        except ConstructionError:
-            continue
-    return found
 
 
 # Minimum solution counts guaranteed at desk scale, keyed by (M, k % 2): the
@@ -525,10 +515,17 @@ def solve(
     Whenever the Fermat prime F_m divides k, its construction takes the
     minimal witness r whose forms do not divide k, read from a per-process
     list of F_m's witnesses, which an uncached search extends only when
-    every listed one is excluded. Failures of individual constructions are
-    logged and skipped, never fatal. Results are deduplicated by n (method
+    every listed one is excluded. Results are deduplicated by n (method
     tags merged) and sorted ascending. `cache_dir` is unused: witnesses and
     sequences are kept in memory, never on disk.
+
+    Only three constructions are ever skipped: Makowski's for odd k with
+    3 | k, decided before the call; a sequence read in which every term up
+    to the variant's reach divides k (AllTermsDivideK); and a Fermat
+    construction whose witness search gives up (LimitExhausted, logged as a
+    warning). Any other error is a defect and raises. The divisor scans of
+    `with_witness_search` build only for the d <= 10^6 dividing k that pass
+    the proposition's hypothesis.
 
     No construction applies to M = 1 with odd k, so that case returns []
     without factoring k; it still raises NotApplicable for k < 1,
@@ -541,32 +538,31 @@ def solve(
         return []  # no construction for odd k at M = 1; factoring k would raise nothing
     kf = _k_fact(k, k_fact)
     found: list[Solution] = []
-
-    def attempt(fn, *args):
-        try:
-            found.append(fn(*args))
-        except ConstructionError as exc:
-            log.debug("skipping %s for k=%s: %s", getattr(fn, "__name__", fn), k, exc)
-        except LimitExhausted as exc:
-            log.warning("witness search exhausted for k=%s: %s", k, exc)
-
-    def fermat_with_search(m: int):
-        r = _fermat_witness(m, k) if k % FERMAT_PRIMES[m] == 0 else None
-        return _fermat(k, m, r, M, kf)
-
-    if M == 1 and k % 2 == 0:
-        for m in range(5):
-            attempt(fermat_with_search, m)
-    elif M == 2 and k % 2 == 1:
-        for m in range(5):
-            attempt(fermat_with_search, m)
-        attempt(_makowski, k, kf)
-    elif M == 2:
-        attempt(_even_m2_branch, k, kf)
-        attempt(_makowski, k, kf)
-        attempt(_variant_solution, k, SequenceVariant.HASANALIZADE, kf)
+    if (M == 1) == (k % 2 == 0):  # the Fermat primes: even k at M = 1, odd k at M = 2
+        for m, fermat in enumerate(FERMAT_PRIMES):
+            r = None
+            if k % fermat == 0:
+                try:
+                    r = _fermat_witness(m, k)
+                except LimitExhausted as exc:
+                    log.warning("witness search exhausted for k=%s: %s", k, exc)
+                    continue
+            found.append(_fermat(k, m, r, M, kf))
+    if M == 2 and k % 2 == 0:
+        for read in (_even_m2_branch,
+                     lambda k, kf: _variant_solution(k, SequenceVariant.HASANALIZADE, kf)):
+            try:
+                found.append(read(k, kf))
+            except AllTermsDivideK as exc:
+                log.debug("skipping a sequence construction: %s", exc)
+    if M == 2 and (k % 2 == 0 or k % 3):
+        found.append(_makowski(k, kf))
     if with_witness_search and M == 2:
-        found.extend(_scan_divisors(kf, lambda d: _prop_double_prime(k, d + 1, kf)))
-        if k % 2 == 0:
-            found.extend(_scan_divisors(kf, lambda d: _prop_phi_pair(k, d, kf)))
+        for d in iter_divisors(kf, limit=10**6):
+            if (gcd(d + 1, k) == 1 and gcd(2 * d + 1, k) == 1
+                    and is_prime(d + 1) and is_prime(2 * d + 1)):
+                found.append(_prop_double_prime(k, d + 1, kf))
+            if (k % 2 == 0 and gcd(d + 2, k) == 1 and gcd(d + 4, k) == 1
+                    and factorize(d + 2).totient() == factorize(d + 4).totient()):
+                found.append(_prop_phi_pair(k, d, kf))
     return _merge(found)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from totient_forge import claims, cli
+from totient_forge import claims, cli, constructions
 from totient_forge.cli import main
 from totient_forge.primality import is_probable_prime
 from totient_forge.search import FERMAT_PRIMES, PAIR_WITNESS_TABLE, RTableRow
@@ -100,6 +100,18 @@ class TestSolveCommand:
             "--k-factors", "2^2",
         ])
         assert code == 2
+
+    def test_construction_defect_exits_1(self, capsys, cache_dir, monkeypatch):
+        # 330 picks the 36/55 ratio; its failure is an error, even though the
+        # other five solutions would clear the minimum of 3
+        def unmet(k, kf, num, den):
+            raise constructions.BranchHypothesisUnmet(f"{num}/{den} fails for k={k}")
+
+        monkeypatch.setattr(constructions, "_ratio_solution", unmet)
+        code = main(["--cache-dir", str(cache_dir), "solve", "--k", "330", "--M", "2",
+                     "--with-witness-search"])
+        assert code == 1
+        assert "error: 36/55 fails" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from totient_forge.constructions import (
     Method,
     MissingWitness,
     NotApplicable,
+    PropWitness,
     RatioWitness,
     SeqWitness,
     Solution,
@@ -323,6 +325,15 @@ class TestVerifySolution:
         with pytest.raises(CannotVerify):
             verify_solution(Solution(2, 1, huge, "Enumerated"))
 
+    def test_factoring_defect_propagates(self, monkeypatch):
+        # only the factoring bound means "cannot verify"; any other error is a defect
+        def broken(value, hint=None):
+            raise RuntimeError("broken factorize")
+
+        monkeypatch.setattr(constructions, "factorize", broken)
+        with pytest.raises(RuntimeError, match="broken factorize"):
+            verify_solution(Solution(6, 2, 7, "Enumerated"))
+
 
 class TestSolve:
     def test_k6_m2_default(self):
@@ -349,6 +360,11 @@ class TestSolve:
         merged = next(s for s in sols if s.n == 10)
         assert merged.method == "FermatCase1+Makowski"
         assert len(merged.witnesses) == 1  # Makowski carries no witness record
+        # p = 2 gives the same n = 2k, and its witness follows the first method's
+        sols = solve(5, 2, with_witness_search=True)
+        merged = next(s for s in sols if s.n == 10)
+        assert merged.method == "FermatCase1+Makowski+PropDoublePrime"
+        assert merged.witnesses == (FermatWitness(0, 1), PropWitness(p=2))
 
     def test_case2_inside_solve(self):
         sols = solve(9, 2)
@@ -434,6 +450,30 @@ class TestSolve:
         assert branch.witnesses == (SeqWitness(SequenceVariant.NEW_BRANCH7, 106, 13613, 6806),)
         assert verify_solution(branch)
         assert makowski == construct_makowski(k, 2, kf)
+
+    def test_fermat_defect_raises(self, monkeypatch):
+        # a construction that fails on a witness solve derived itself is a
+        # defect: solve must raise, not return one solution fewer
+        fermat = constructions._fermat
+
+        def dropping(k, m, r, M, kf):
+            if m == 4 and k % 65537 == 0:
+                raise InvalidWitness("dropped F_4 solution")
+            return fermat(k, m, r, M, kf)
+
+        monkeypatch.setattr(constructions, "_fermat", dropping)
+        with pytest.raises(InvalidWitness, match="dropped"):
+            solve(65537 * 5, 2)
+
+    def test_proposition_defect_raises(self, monkeypatch):
+        # d = 1 passes the double-prime hypothesis (2 and 3 are prime and
+        # coprime to 5), so its build runs, and its error reaches the caller
+        def broken(k, p, kf):
+            raise InvalidWitness("broken build")
+
+        monkeypatch.setattr(constructions, "_prop_double_prime", broken)
+        with pytest.raises(InvalidWitness, match="broken build"):
+            solve(5, 2, with_witness_search=True)
 
     def test_huge_k_case2_with_hint(self):
         k = 10**100
@@ -582,6 +622,25 @@ class TestFermatWitnessList:
         kf = Factorization.from_pairs([(2, 1), (3, 1), (5, 1), (7, 1)])
         assert _case2_r(kf, 1, 0) == 6
         assert list(tmp_path.rglob("*")) == []
+
+    def test_exhausted_search_skips_only_its_construction(self, monkeypatch, caplog):
+        # F_1 and both forms of its first witness r divide k; the list's next
+        # extension, from r + 1, may not pass r + 1, so it gives up at once
+        (a, b), = _leading_forms(1, 1)
+        r = (a - 1) // (FERMAT_PRIMES[1] - 1)
+        k = FERMAT_PRIMES[1] * a * b
+        _cold_witness_lists(monkeypatch)
+        monkeypatch.setattr(constructions, "_FERMAT_WITNESS_LIMIT", r + 1)
+        with caplog.at_level(logging.WARNING, logger=constructions.__name__):
+            sols = solve(k, 2)
+        assert [(s.n, s.method) for s in sols] == [
+            (2 * k, "FermatCase1+Makowski"), (16 * k, "FermatCase1"),
+            (256 * k, "FermatCase1"), (65536 * k, "FermatCase1")]
+        assert [w for s in sols for w in s.witnesses] == [
+            FermatWitness(m, 1) for m in (0, 2, 3, 4)]
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "witness search exhausted" in record.getMessage()
 
     def test_value_types_are_immutable(self):
         s = solve(6, 2)[0]
